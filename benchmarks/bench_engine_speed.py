@@ -21,7 +21,7 @@ from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.runtime.serial import run_serial
-from repro.runtime.speculative import run_speculative
+from repro.runtime.speculative import SpeculationPipeline
 from repro.workloads.bdna import build_bdna
 
 ROUNDS = 3
@@ -98,7 +98,9 @@ def test_engine_speed_speculative(benchmark, artifact):
         env = Environment(program, workload.inputs)
         Interpreter(program, env, value_based=False).exec_block(before)
         sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        outcome = SpeculationPipeline(
+            program, loop, env, plan, sim, engine=engine
+        ).run()
         return outcome, _env_state(env)
 
     def measure():
@@ -163,7 +165,9 @@ def test_engine_speed_vectorized(benchmark, artifact):
         env = Environment(program, workload.inputs)
         Interpreter(program, env, value_based=False).exec_block(before)
         sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        outcome = SpeculationPipeline(
+            program, loop, env, plan, sim, engine=engine
+        ).run()
         return outcome, _env_state(env)
 
     def measure():
@@ -244,7 +248,9 @@ def test_engine_speed_jit(benchmark, artifact):
         env = Environment(program, workload.inputs)
         Interpreter(program, env, value_based=False).exec_block(before)
         sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        outcome = SpeculationPipeline(
+            program, loop, env, plan, sim, engine=engine
+        ).run()
         return outcome, _env_state(env)
 
     kernels = jit_kernels.load_kernels()
@@ -343,7 +349,9 @@ def test_engine_speed_auto(benchmark, artifact):
         env = Environment(program, workload.inputs)
         Interpreter(program, env, value_based=False).exec_block(before)
         sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-        outcome = run_speculative(program, loop, env, plan, sim, engine=engine)
+        outcome = SpeculationPipeline(
+            program, loop, env, plan, sim, engine=engine
+        ).run()
         return outcome, _env_state(env)
 
     def measure():

@@ -29,7 +29,7 @@ from repro.interp.interpreter import Interpreter, split_at_loop
 from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
-from repro.runtime.speculative import run_speculative
+from repro.runtime.speculative import SpeculationPipeline
 from repro.workloads.bdna import build_bdna
 
 ROUNDS = 3
@@ -71,10 +71,10 @@ def _speculative_runner(workload):
         env = Environment(program, workload.inputs)
         Interpreter(program, env, value_based=False).exec_block(before)
         sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-        outcome = run_speculative(
+        outcome = SpeculationPipeline(
             program, plan.loop, env, plan, sim,
             engine=engine, workers=workers, backend=backend,
-        )
+        ).run()
         state = (
             {name: arr.copy() for name, arr in env.arrays.items()},
             dict(env.scalars),

@@ -1,6 +1,7 @@
 """CI lint gate: no string-literal engine/backend dispatch outside
-their registries, and no loop-memory caches constructed outside the
-profile package.
+their registries, no loop-memory caches constructed outside the
+profile package, and no speculative-protocol phase called outside the
+one speculative driver.
 
 The execution-engine refactor funneled every ``engine == "..."``
 comparison through :mod:`repro.runtime.engines` (capability queries and
@@ -15,7 +16,10 @@ constructed there — everyone else goes through a
 that way: it fails when a string-literal engine or backend comparison,
 or a direct cache construction, reappears anywhere else under
 ``src/repro``, so dispatch and loop memory cannot quietly re-scatter
-across call sites.
+across call sites.  Likewise the speculative protocol: checkpoint,
+commit (``finalize_doall``) and the serial re-run are called only from
+:mod:`repro.runtime.speculative`, whose phase functions every strategy
+shares.
 
 ::
 
@@ -86,6 +90,32 @@ SERVICE_PATTERNS = (
     re.compile(r"\brun_parallel_doall\s*\("),
 )
 
+#: the speculative protocol's phases called outside the one driver.
+#: Checkpointing, committing a doall's private state and re-running
+#: iterations serially are phases of :mod:`repro.runtime.speculative`
+#: (``commit``, ``roll_back``, ``run_with_verdict``), which times and
+#: prices each of them in one place; a second call site would fork the
+#: protocol again.
+DRIVER_PATTERNS = {
+    "Checkpoint": re.compile(r"\bCheckpoint\s*\("),
+    "finalize_doall": re.compile(r"\bfinalize_doall\s*\("),
+    "rerun_values_serially": re.compile(r"\brerun_values_serially\s*\("),
+}
+
+#: where each driver phase may appear: its defining module, the driver,
+#: and — for the serial re-run — the DOACROSS recovery engine, which
+#: prices its pipelined re-execution against that serial re-run.
+DRIVER = pathlib.PurePosixPath("repro/runtime/speculative.py")
+DRIVER_ALLOWED = {
+    "Checkpoint": (pathlib.PurePosixPath("repro/core/checkpoint.py"), DRIVER),
+    "finalize_doall": (pathlib.PurePosixPath("repro/runtime/doall.py"), DRIVER),
+    "rerun_values_serially": (
+        pathlib.PurePosixPath("repro/runtime/serial.py"),
+        DRIVER,
+        pathlib.PurePosixPath("repro/runtime/engines/doacross.py"),
+    ),
+}
+
 #: the one place engine names may be compared/declared.
 ALLOWED = pathlib.PurePosixPath("repro/runtime/engines")
 
@@ -121,9 +151,13 @@ def lint(root: pathlib.Path) -> list[str]:
         check_frontend = not any(
             allowed in relative.parents for allowed in FRONTEND_ALLOWED
         )
+        driver_patterns = [
+            pattern for name, pattern in DRIVER_PATTERNS.items()
+            if relative not in DRIVER_ALLOWED[name]
+        ]
         if not (
             check_engine or check_backend or check_cache
-            or check_service or check_frontend
+            or check_service or check_frontend or driver_patterns
         ):
             continue
         for lineno, line in enumerate(
@@ -145,9 +179,12 @@ def lint(root: pathlib.Path) -> list[str]:
             frontend_hit = check_frontend and any(
                 pattern.search(line) for pattern in FRONTEND_PATTERNS
             )
+            driver_hit = any(
+                pattern.search(line) for pattern in driver_patterns
+            )
             if (
                 engine_hit or backend_hit or cache_hit
-                or service_hit or frontend_hit
+                or service_hit or frontend_hit or driver_hit
             ):
                 hits.append(f"{path}:{lineno}: {line.strip()}")
     return hits
@@ -186,7 +223,10 @@ def main(argv: list[str] | None = None) -> int:
             f"engines, pools or arenas directly, and Program "
             f"construction (parse/ProgramBuilder) belongs behind the "
             f"frontend registry (repro/frontend; repro/dsl and "
-            f"repro/workloads excepted):",
+            f"repro/workloads excepted), and Checkpoint(, "
+            f"finalize_doall( and rerun_values_serially( are phases of "
+            f"the one speculative driver (repro/runtime/speculative.py; "
+            f"the DOACROSS recovery engine may re-run serially):",
             file=sys.stderr,
         )
         for hit in hits:

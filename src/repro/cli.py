@@ -412,11 +412,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.procs is not None:
         model = model.with_procs(args.procs)
     strategy = Strategy(args.strategy)
-    if (args.strip_size is not None or args.adaptive_strips) and strategy in (
-        Strategy.SPECULATIVE,
-        Strategy.STRIPPED,
-    ):
-        strategy = Strategy.STRIPPED
     config = RunConfig(
         model=model,
         granularity=Granularity(args.granularity),

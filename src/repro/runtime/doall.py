@@ -184,13 +184,14 @@ def finalize_doall(
     run: DoallRun,
     env: Environment,
     plan: InstrumentationPlan,
-    loop: Do,
 ) -> FinalizeStats:
     """Fold private state into the shared environment after a passed test.
 
     Order matters: reduction partials merge first (their elements are then
     excluded from the private copy-out), then dynamic last-value copy-out,
-    then scalar reductions and live-out scalars.
+    then scalar reductions and live-out scalars.  The loop variable's exit
+    value is the driver's to set (it knows the step and the loop's whole
+    iteration space; see :func:`repro.runtime.speculative.loop_values`).
     """
     stats = FinalizeStats()
 
@@ -225,7 +226,4 @@ def finalize_doall(
             if name in source.scalars:
                 env.set_scalar(name, source.scalars[name])
 
-    if run.values:
-        step = run.values[1] - run.values[0] if len(run.values) > 1 else 1
-        env.set_scalar(loop.var, run.values[-1] + step)
     return stats

@@ -11,7 +11,10 @@ If the test passes, the *executor* runs the loop as an unmarked doall
 (still with the privatization/reduction transforms — they are semantic,
 not just diagnostic); no checkpoint is ever needed because the inspector
 had no side effects and the executor only runs once the pattern is known
-safe.  If the test fails, the loop simply runs serially.
+safe.  If the test fails, the loop simply runs serially.  Both halves
+are the speculative driver's shared phases
+(:func:`repro.runtime.speculative.run_with_verdict`), timed like a
+speculative run's commit and rollback.
 
 Marking in the inspector is reference-based: value-based (LPD) marking
 requires the actual data flow, which the inspector does not compute.
@@ -20,7 +23,7 @@ This is the documented approximation of the paper's inspector variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.analysis.instrument import InstrumentationPlan, require_inspector
 from repro.core.lrpd import analyze_shadows
@@ -33,9 +36,8 @@ from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.machine.schedule import ScheduleKind, assign_iterations
 from repro.machine.simulator import DoallSimulator
-from repro.machine.stats import TimeBreakdown
-from repro.runtime.doall import finalize_doall, run_doall
-from repro.runtime.serial import loop_iteration_values, rerun_loop_serially
+from repro.machine.stats import TimeBreakdown, WallClock
+from repro.runtime.speculative import loop_values, price_doall, run_with_verdict
 
 
 class InspectorScratchMemory:
@@ -127,6 +129,9 @@ class InspectorOutcome:
     result: LrpdResult
     times: TimeBreakdown
     stats: dict[str, float]
+    #: measured wall-clock seconds of the executor half (doall and
+    #: commit, or the serial re-run after a failed test).
+    wall: WallClock = field(default_factory=WallClock)
     #: why a requested vectorized executor run degraded to compiled.
     fallback_reason: str | None = None
     #: the engine that executed the executor-phase doall (None when the
@@ -152,9 +157,7 @@ def run_inspector_phase(
     shadow_sizes = {name: env.array_size(name) for name in plan.tested_arrays}
     marker = ShadowMarker(shadow_sizes, granularity=granularity)
 
-    bounds_interp = Interpreter(program, env, value_based=False)
-    start, stop, step = bounds_interp.eval_loop_bounds(loop)
-    values = loop_iteration_values(start, stop, step)
+    values, _step, _exit = loop_values(program, loop, env)
     assignment = assign_iterations(len(values), num_procs, schedule)
 
     iteration_costs: list[IterationCost] = [IterationCost()] * len(values)
@@ -228,38 +231,18 @@ def run_inspector_executor(
         directional=directional,
     )
 
-    fallback_reason = None
-    engine_used = None
-    engine_decision = None
-    if result.passed:
-        run = run_doall(
-            program, loop, env, plan, sim.num_procs,
-            marker=None, value_based=False, schedule=schedule, engine=engine,
-            workers=workers, pool=pool, backend=backend,
-            profiles=profiles, loop_key=loop_key,
-        )
-        fallback_reason = run.fallback_reason
-        engine_used = run.engine_used
-        engine_decision = run.engine_decision
-        times.private_init = sim.private_init_time(
-            sum(p.size for p in run.privates.values())
-        )
-        body, dispatch, barrier = sim.doall_time(
-            run.iteration_costs,
-            assignment=None if schedule is ScheduleKind.DYNAMIC else run.assignment,
-        )
-        times.body, times.dispatch, times.barrier = body, dispatch, barrier
-        finalize = finalize_doall(run, env, plan, loop)
-        times.reduction_merge = sim.reduction_merge_time(finalize.reduction_merged)
-        times.copy_out = sim.copy_out_time(finalize.copied_out)
+    wall = WallClock()
+    run, finalize = run_with_verdict(
+        program, loop, env, plan, sim, result.passed, times, wall,
+        schedule=schedule, engine=engine, workers=workers, pool=pool,
+        backend=backend, profiles=profiles, loop_key=loop_key,
+    )
+    outcome = InspectorOutcome(result=result, times=times, stats=stats, wall=wall)
+    if run is not None:
+        price_doall(sim, run, schedule, times)
         stats["copied_out"] = float(finalize.copied_out)
         stats["reduction_merged"] = float(finalize.reduction_merged)
-    else:
-        serial_interp = Interpreter(program, env, value_based=False)
-        serial_time, _ = rerun_loop_serially(serial_interp, loop, sim.model)
-        times.serial_rerun = serial_time
-
-    return InspectorOutcome(result=result, times=times, stats=stats,
-                            fallback_reason=fallback_reason,
-                            engine_used=engine_used,
-                            engine_decision=engine_decision)
+        outcome.fallback_reason = run.fallback_reason
+        outcome.engine_used = run.engine_used
+        outcome.engine_decision = run.engine_decision
+    return outcome

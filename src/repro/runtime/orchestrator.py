@@ -3,7 +3,10 @@
 :class:`LoopRunner` compiles a program once (instrumentation plan +
 serial reference run) and then executes the target loop under any
 strategy and machine configuration, producing comparable
-:class:`ExecutionReport` records.
+:class:`ExecutionReport` records.  The speculative strategies
+(SPECULATIVE, STRIPPED, DOACROSS_RECOVERY) share one method and one
+driver, :class:`~repro.runtime.speculative.SpeculationPipeline`; the
+strip configuration picks its sizer.
 
 Everything the runner remembers across invocations lives in one
 :class:`~repro.runtime.profile.LoopProfileStore`: cached LRPD verdicts
@@ -32,7 +35,6 @@ from repro.machine.costmodel import CostModel, fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.machine.stats import TimeBreakdown, WallClock
-from repro.runtime.doall import finalize_doall, run_doall
 from repro.runtime.engines import get_engine, serial_engine_for
 from repro.runtime.inspector import run_inspector_executor
 from repro.runtime.profile import (
@@ -41,11 +43,13 @@ from repro.runtime.profile import (
     pattern_signature,
 )
 from repro.runtime.results import ExecutionReport, SerialRun
-from repro.runtime.serial import rerun_loop_serially, run_serial
+from repro.runtime.serial import run_serial
 from repro.runtime.speculative import (
     FixedStripSizer,
     SpeculationPipeline,
-    run_speculative,
+    WholeLoop,
+    price_doall,
+    run_with_verdict,
 )
 
 
@@ -54,7 +58,10 @@ class Strategy(Enum):
     SPECULATIVE = "speculative"
     INSPECTOR = "inspector"
     #: strip-mined speculation: windowed LRPD with incremental commit
-    #: and bounded rollback (see :class:`SpeculationPipeline`).
+    #: and bounded rollback (see :class:`SpeculationPipeline`).  Runs
+    #: exactly like SPECULATIVE — the strip configuration, not the name,
+    #: decides whether the run is strip-mined — and labels its report
+    #: "stripped" when it is.
     STRIPPED = "stripped"
     #: speculation (whole-loop, or strip-mined when a strip
     #: configuration is set) with the post-failure DOACROSS recovery
@@ -102,9 +109,11 @@ class RunConfig:
     #: or shared-memory setup — the small-trip-loop backend).  Validated
     #: at construction.
     backend: str = "fork"
-    #: iterations per strip for :attr:`Strategy.STRIPPED`.  ``None``
-    #: degenerates to one whole-loop strip — the report is bit-identical
-    #: to :attr:`Strategy.SPECULATIVE` (the path is delegated wholesale).
+    #: iterations per strip for the speculative strategies (SPECULATIVE,
+    #: STRIPPED, DOACROSS_RECOVERY): set, the run is strip-mined and
+    #: reports as "stripped".  ``None`` (without adaptive sizing) makes
+    #: the whole loop one strip — the paper's all-or-nothing protocol
+    #: (:class:`~repro.runtime.speculative.WholeLoop`).
     strip_size: int | None = None
     #: let the strip sizer grow on consecutive passes and shrink on
     #: failures (:class:`repro.runtime.adaptive.AdaptiveStripSizer`);
@@ -213,7 +222,7 @@ class LoopRunner:
         strategies = {
             Strategy.SERIAL: self._run_serial,
             Strategy.SPECULATIVE: self._run_speculative,
-            Strategy.STRIPPED: self._run_stripped,
+            Strategy.STRIPPED: self._run_speculative,
             Strategy.INSPECTOR: self._run_inspector,
             Strategy.DOACROSS_RECOVERY: self._run_doacross_recovery,
         }
@@ -270,9 +279,13 @@ class LoopRunner:
         """Run serially without attempting any doall: either a
         loop-carried scalar statically blocks speculation, or (with a
         planner engine and ``reason`` set) the loop's recorded failure
-        history vetoes another attempt."""
-        serial_interp = Interpreter(self.program, env, value_based=False)
-        serial_time, _ = rerun_loop_serially(serial_interp, self.loop, config.model)
+        history vetoes another attempt.  Nothing speculated, so the
+        report records no wall-clock phases."""
+        times = TimeBreakdown()
+        run_with_verdict(
+            self.program, self.loop, env, self.plan, sim,
+            passed=False, times=times, wall=WallClock(),
+        )
         self._finish(env)
         return ExecutionReport(
             strategy=Strategy.SERIAL.value,
@@ -280,7 +293,7 @@ class LoopRunner:
             procs=sim.num_procs,
             passed=None,
             test_result=None,
-            times=TimeBreakdown(serial_rerun=serial_time),
+            times=times,
             serial_loop_time=reference.loop_time,
             env=env,
             stats={"refused": 1.0},
@@ -360,9 +373,57 @@ class LoopRunner:
             return None
         return self.profiles.recovery_rescue(self._loop_key())
 
+    def _sizer(self, config: RunConfig):
+        """The strip policy ``config`` asks for, with the planner evidence
+        behind an adaptive sizer: ``(sizer, warm-start reason,
+        floor-reset reason)``."""
+        if not config.adaptive_strip_sizing:
+            if config.strip_size is None:
+                return WholeLoop(), None, None
+            return FixedStripSizer(config.strip_size), None, None
+        # Imported lazily: adaptive.py imports this module at top level.
+        from repro.runtime.adaptive import AdaptiveStripSizer
+
+        planner = get_engine(config.engine).caps.planner
+        initial = config.strip_size or AdaptiveStripSizer.DEFAULT_INITIAL
+        warm = warm_reason = floor_reason = None
+        if config.strip_size is None and planner:
+            warm = self.profiles.warm_strip_size(self._loop_key())
+            if warm is not None:
+                initial = warm
+                warm_reason = (
+                    f"feedback: warm-starting the adaptive strip size "
+                    f"at {warm} (the last passing strip-mined run's "
+                    f"converged size)"
+                )
+        sizer = AdaptiveStripSizer(initial_size=initial)
+        if warm is not None:
+            # A converged size from history should survive one unlucky
+            # strip: failures shrink no further than it...
+            sizer.raise_floor(warm)
+        if planner and self.profiles.veto_cleared(self._loop_key()):
+            # ...unless that history just went stale — a lifted
+            # speculation veto means the ring turned over, so let
+            # failures shrink strips all the way down again.
+            sizer.reset_floor()
+            floor_reason = (
+                "feedback: speculation veto lifted — resetting the "
+                "adaptive strip-size floor (failures may shrink "
+                "strips below the warm-started size again)"
+            )
+        return sizer, warm_reason, floor_reason
+
     def _run_speculative(
         self, config: RunConfig, *, recovery: bool = False
     ) -> ExecutionReport:
+        """Speculation, whole-loop or strip-mined (SPECULATIVE and
+        STRIPPED alike; DOACROSS_RECOVERY arms ``recovery``).
+
+        Refusal, recovery arming, the speculation veto and its rescue
+        are decided here once; the sizer comes from the strip
+        configuration (fixed, adaptive, or :class:`WholeLoop` when none
+        is set).  Only whole-loop runs consult the schedule cache.
+        """
         sim = DoallSimulator(config.model, config.schedule)
         env, _setup = self._env_at_loop_entry(config.model)
         reference = self.serial_run(config.model, config.engine)
@@ -370,10 +431,10 @@ class LoopRunner:
         if not self.plan.parallelizable_scalars:
             return self._refuse_serially(env, sim, config, reference)
 
-        extra_decisions: list[str | None] = []
+        decisions: list[str | None] = []
         if not recovery:
             recovery, armed_reason = self._arm_recovery(config)
-            extra_decisions.append(armed_reason)
+            decisions.append(armed_reason)
 
         veto = self._speculation_veto(config)
         if veto is not None:
@@ -386,13 +447,15 @@ class LoopRunner:
             # says the failures themselves pipeline well: speculate
             # anyway with recovery armed, recording both verdicts.
             recovery = True
-            extra_decisions.extend([veto, rescue])
+            decisions.extend([veto, rescue])
 
+        sizer, warm_reason, floor_reason = self._sizer(config)
+        decisions.append(floor_reason)
+        whole = isinstance(sizer, WholeLoop)
         pool = self._shared_pool(config, sim, env)
-        reused = False
         signature = None
         signature_s = 0.0
-        if config.use_schedule_cache:
+        if config.use_schedule_cache and whole:
             # The signature must be taken at loop entry, before the doall
             # mutates any state it covers.
             tick = time.perf_counter()
@@ -407,142 +470,7 @@ class LoopRunner:
                 self._finish(env)
                 return report
 
-        outcome = run_speculative(
-            self.program,
-            self.loop,
-            env,
-            self.plan,
-            sim,
-            test_mode=config.test_mode,
-            granularity=config.granularity,
-            schedule=config.schedule,
-            dynamic_last_value=config.dynamic_last_value,
-            directional=config.directional,
-            eager=config.eager_failure_detection,
-            engine=config.engine,
-            marker=self._spec_marker,
-            workers=config.workers,
-            pool=pool,
-            backend=config.backend,
-            profiles=self.profiles,
-            loop_key=self._loop_key(),
-            recovery=recovery,
-        )
-        self._spec_marker = outcome.run.marker
-        outcome.wall.signature = signature_s
-        if config.use_schedule_cache:
-            self.profiles.record_verdict(self._loop_key(), signature, outcome.result)
-        self._finish(env)
-        return ExecutionReport(
-            strategy=Strategy.SPECULATIVE.value,
-            machine=config.model.name,
-            procs=sim.num_procs,
-            passed=outcome.result.passed,
-            test_result=outcome.result,
-            times=outcome.times,
-            serial_loop_time=reference.loop_time,
-            env=env,
-            reused_schedule=reused,
-            stats=outcome.stats,
-            wall=outcome.wall,
-            fallbacks=self._fallbacks(outcome.run.fallback_reason),
-            engine_used=outcome.run.engine_used,
-            engine_decisions=(
-                self._decisions(outcome.run.engine_decision)
-                + [
-                    entry
-                    for reason in extra_decisions
-                    for entry in self._decisions(reason)
-                ]
-                + self._decisions(outcome.recovery_decision)
-            ),
-        )
-
-    def _run_doacross_recovery(self, config: RunConfig) -> ExecutionReport:
-        """Speculation with the DOACROSS recovery tier explicitly armed.
-
-        Routes to the strip-mined pipeline when a strip configuration is
-        set (each failed strip recovers independently), else to the
-        whole-loop protocol.  Refusals (unparallelizable scalars) still
-        report as serial runs; everything that actually speculated is
-        relabelled so the report and the profile ring record which
-        strategy was asked for.
-        """
-        if config.strip_size is not None or config.adaptive_strip_sizing:
-            report = self._run_stripped(config, recovery=True)
-        else:
-            report = self._run_speculative(config, recovery=True)
-        if report.strategy != Strategy.SERIAL.value:
-            report.strategy = Strategy.DOACROSS_RECOVERY.value
-        return report
-
-    def _run_stripped(
-        self, config: RunConfig, *, recovery: bool = False
-    ) -> ExecutionReport:
-        """Strip-mined speculation (windowed LRPD, incremental commit)."""
-        if config.strip_size is None and not config.adaptive_strip_sizing:
-            # Degenerate configuration: one strip covering the whole loop
-            # *is* the unstripped protocol — delegate wholesale so every
-            # simulated quantity stays bit-identical to SPECULATIVE.
-            return self._run_speculative(config, recovery=recovery)
-        sim = DoallSimulator(config.model, config.schedule)
-        env, _setup = self._env_at_loop_entry(config.model)
-        reference = self.serial_run(config.model, config.engine)
-
-        if not self.plan.parallelizable_scalars:
-            return self._refuse_serially(env, sim, config, reference)
-
-        extra_decisions: list[str | None] = []
-        if not recovery:
-            recovery, armed_reason = self._arm_recovery(config)
-            extra_decisions.append(armed_reason)
-
-        veto = self._speculation_veto(config)
-        if veto is not None:
-            rescue = self._recovery_rescue(config)
-            if rescue is None:
-                return self._refuse_serially(
-                    env, sim, config, reference, reason=veto
-                )
-            recovery = True
-            extra_decisions.extend([veto, rescue])
-
-        strip_decision = None
-        if config.adaptive_strip_sizing:
-            # Imported lazily: adaptive.py imports this module at top level.
-            from repro.runtime.adaptive import AdaptiveStripSizer
-
-            initial = config.strip_size or AdaptiveStripSizer.DEFAULT_INITIAL
-            warm = None
-            if config.strip_size is None and get_engine(config.engine).caps.planner:
-                warm = self.profiles.warm_strip_size(self._loop_key())
-                if warm is not None:
-                    initial = warm
-                    strip_decision = (
-                        f"feedback: warm-starting the adaptive strip size "
-                        f"at {warm} (the last passing strip-mined run's "
-                        f"converged size)"
-                    )
-            sizer = AdaptiveStripSizer(initial_size=initial)
-            if warm is not None:
-                # A converged size from history should survive one
-                # unlucky strip: failures shrink no further than it...
-                sizer.raise_floor(warm)
-            if get_engine(config.engine).caps.planner and self.profiles.veto_cleared(
-                self._loop_key()
-            ):
-                # ...unless that history just went stale — a lifted
-                # speculation veto means the ring turned over, so let
-                # failures shrink strips all the way down again.
-                sizer.reset_floor()
-                extra_decisions.append(
-                    "feedback: speculation veto lifted — resetting the "
-                    "adaptive strip-size floor (failures may shrink "
-                    "strips below the warm-started size again)"
-                )
-        else:
-            sizer = FixedStripSizer(config.strip_size)
-        pipeline = SpeculationPipeline(
+        outcome = SpeculationPipeline(
             self.program,
             self.loop,
             env,
@@ -558,17 +486,19 @@ class LoopRunner:
             engine=config.engine,
             marker=self._spec_marker,
             workers=config.workers,
-            pool=self._shared_pool(config, sim, env),
+            pool=pool,
             backend=config.backend,
             profiles=self.profiles,
             loop_key=self._loop_key(),
             recovery=recovery,
-        )
-        outcome = pipeline.run()
+        ).run()
         self._spec_marker = outcome.marker
+        outcome.wall.signature = signature_s
+        if signature is not None:
+            self.profiles.record_verdict(self._loop_key(), signature, outcome.result)
         self._finish(env)
         return ExecutionReport(
-            strategy=Strategy.STRIPPED.value,
+            strategy=(Strategy.SPECULATIVE if whole else Strategy.STRIPPED).value,
             machine=config.model.name,
             procs=sim.num_procs,
             passed=outcome.result.passed,
@@ -581,17 +511,25 @@ class LoopRunner:
             wall=outcome.wall,
             fallbacks=self._fallbacks(outcome.fallback_reason),
             engine_used=outcome.engine_used,
-            engine_decisions=(
-                self._decisions(outcome.engine_decision)
-                + self._decisions(strip_decision)
-                + [
-                    entry
-                    for reason in extra_decisions
-                    for entry in self._decisions(reason)
-                ]
-                + self._decisions(outcome.recovery_decision)
+            engine_decisions=self._decisions(
+                outcome.engine_decision, warm_reason, *decisions,
+                outcome.recovery_decision,
             ),
         )
+
+    def _run_doacross_recovery(self, config: RunConfig) -> ExecutionReport:
+        """Speculation with the DOACROSS recovery tier explicitly armed.
+
+        Strip-mined when a strip configuration is set (each failed strip
+        recovers independently), else whole-loop.  Refusals
+        (unparallelizable scalars) still report as serial runs;
+        everything that actually speculated is relabelled so the report
+        and the profile ring record which strategy was asked for.
+        """
+        report = self._run_speculative(config, recovery=True)
+        if report.strategy != Strategy.SERIAL.value:
+            report.strategy = Strategy.DOACROSS_RECOVERY.value
+        return report
 
     def _run_from_cached(
         self,
@@ -601,8 +539,8 @@ class LoopRunner:
         config: RunConfig,
         reference: SerialRun,
         *,
-        signature=None,
-        signature_s: float = 0.0,
+        signature,
+        signature_s: float,
         pool=None,
     ) -> ExecutionReport:
         """Schedule reuse: skip marking and analysis entirely.
@@ -619,52 +557,26 @@ class LoopRunner:
         """
         times = TimeBreakdown()
         wall = WallClock(signature=signature_s)
-        fallback_reason = None
-        engine_used = None
-        engine_decision = None
-        if cached.passed:
-            reuse_engine, reuse_workers = config.engine, config.workers
-            if pool is None and not get_engine(config.engine).caps.whole_block:
-                reuse_engine, reuse_workers = "vectorized", None
-            memo_key = (
-                signature, config.model.name, sim.num_procs,
-                config.schedule, config.engine, config.workers,
-                config.backend,
-            )
-            memo = (
-                self._reuse_times.get(memo_key)
-                if signature is not None else None
-            )
-            tick = time.perf_counter()
-            run = run_doall(
-                self.program, self.loop, env, self.plan, sim.num_procs,
-                marker=None, value_based=False, schedule=config.schedule,
-                engine=reuse_engine, workers=reuse_workers,
-                pool=pool, backend=config.backend,
-                profiles=self.profiles, loop_key=self._loop_key(),
-                need_costs=memo is None,
-            )
-            wall.doall = time.perf_counter() - tick
-            finalize = finalize_doall(run, env, self.plan, self.loop)
+        reuse_engine, reuse_workers = config.engine, config.workers
+        if pool is None and not get_engine(config.engine).caps.whole_block:
+            reuse_engine, reuse_workers = "vectorized", None
+        memo_key = (
+            signature, config.model.name, sim.num_procs,
+            config.schedule, config.engine, config.workers, config.backend,
+        )
+        memo = self._reuse_times.get(memo_key) if cached.passed else None
+        run, _finalize = run_with_verdict(
+            self.program, self.loop, env, self.plan, sim, cached.passed,
+            times, wall, schedule=config.schedule, engine=reuse_engine,
+            workers=reuse_workers, pool=pool, backend=config.backend,
+            profiles=self.profiles, loop_key=self._loop_key(),
+            need_costs=memo is None,
+        )
+        fallback_reason = engine_used = engine_decision = None
+        if run is not None:
             if memo is None:
-                times.private_init = sim.private_init_time(
-                    sum(p.size for p in run.privates.values())
-                )
-                body, dispatch, barrier = sim.doall_time(
-                    run.iteration_costs,
-                    assignment=(
-                        None
-                        if config.schedule is ScheduleKind.DYNAMIC
-                        else run.assignment
-                    ),
-                )
-                times.body, times.dispatch, times.barrier = body, dispatch, barrier
-                times.reduction_merge = sim.reduction_merge_time(
-                    finalize.reduction_merged
-                )
-                times.copy_out = sim.copy_out_time(finalize.copied_out)
-                if signature is not None:
-                    self._reuse_times[memo_key] = times.as_dict()
+                price_doall(sim, run, config.schedule, times)
+                self._reuse_times[memo_key] = times.as_dict()
             else:
                 times = TimeBreakdown(**memo)
             fallback_reason = run.fallback_reason
@@ -677,10 +589,6 @@ class LoopRunner:
                     f"cost-identical; {config.engine!r} governs the "
                     f"speculative attempt only)"
                 )
-        else:
-            serial_interp = Interpreter(self.program, env, value_based=False)
-            serial_time, _ = rerun_loop_serially(serial_interp, self.loop, config.model)
-            times.serial_rerun = serial_time
         return ExecutionReport(
             strategy=Strategy.SPECULATIVE.value,
             machine=config.model.name,
@@ -729,6 +637,7 @@ class LoopRunner:
             serial_loop_time=reference.loop_time,
             env=env,
             stats=outcome.stats,
+            wall=outcome.wall,
             fallbacks=self._fallbacks(outcome.fallback_reason),
             engine_used=outcome.engine_used,
             engine_decisions=self._decisions(outcome.engine_decision),
@@ -740,12 +649,10 @@ class LoopRunner:
             return []
         return [(self._loop_key(), reason)]
 
-    def _decisions(self, reason: str | None) -> list[tuple[str, str]]:
-        """Auto-planner decision records for the report (empty when the
-        engine was requested explicitly)."""
-        if reason is None:
-            return []
-        return [(self._loop_key(), reason)]
+    def _decisions(self, *reasons: str | None) -> list[tuple[str, str]]:
+        """Planner decision records for the report, one per reason that
+        is set (empty when the engine was requested explicitly)."""
+        return [(self._loop_key(), reason) for reason in reasons if reason is not None]
 
     def _loop_key(self) -> str:
         return f"{self.program.name}:{self.loop.var}@{self.loop.line}"

@@ -65,14 +65,14 @@ def rerun_values_serially(
     step: int,
     model: CostModel,
 ) -> tuple[float, list[IterationCost]]:
-    """Serially re-execute one *strip* of the target loop after a
-    strip-local rollback.
+    """Serially re-execute the given iterations of the target loop (a
+    rolled-back strip, or the whole loop after a failed or refused
+    speculation).
 
-    Unlike :func:`rerun_loop_serially` the loop bounds are not
-    re-evaluated — the strip pipeline already knows the iteration values
-    it speculated over — so only the executed iterations are charged.
-    ``step`` positions the loop variable past the strip, exactly where
-    a serial execution of those iterations would leave it.
+    The loop bounds are not re-evaluated — the caller already knows the
+    iteration values — and only the executed iterations are charged.
+    ``step`` positions the loop variable past the last value, exactly
+    where a serial execution of those iterations would leave it.
     """
     cost = CostCounter()
     previous = interp.cost
@@ -85,25 +85,3 @@ def rerun_values_serially(
     iteration_costs = list(cost.iteration_costs)
     return sum(model.iteration_cycles(c) for c in iteration_costs), iteration_costs
 
-
-def rerun_loop_serially(
-    interp: Interpreter,
-    loop: Do,
-    model: CostModel,
-) -> tuple[float, list[IterationCost]]:
-    """Re-execute the target loop serially (after a rollback).
-
-    Uses the given interpreter (plain memory, no marking) and returns the
-    simulated serial time.
-    """
-    cost = CostCounter()
-    previous = interp.cost
-    interp.cost = cost
-    start, stop, step = interp.eval_loop_bounds(loop)
-    values = loop_iteration_values(start, stop, step)
-    for value in values:
-        interp.exec_iteration(loop, value)
-    interp.env.set_scalar(loop.var, (values[-1] + step) if values else start)
-    interp.cost = previous
-    iteration_costs = list(cost.iteration_costs)
-    return sum(model.iteration_cycles(c) for c in iteration_costs), iteration_costs

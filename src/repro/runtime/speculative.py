@@ -1,32 +1,44 @@
-"""Speculative execution strategies (the paper's §III protocol and the
-strip-mined R-LRPD-style pipeline).
+"""Speculative execution: the paper's §III protocol, whole-loop or
+strip-mined, and the phases it shares with the other strategies.
 
-:func:`run_speculative` is the paper's all-or-nothing protocol:
+:class:`SpeculationPipeline` is the one speculative driver:
 checkpoint → marked doall (with privatization and reduction transforms
-applied speculatively) → LRPD analysis → on pass, merge private state; on
-fail, restore the checkpoint and re-execute serially.  The paper's key
-property holds by construction: a failed speculation costs roughly the
-serial execution plus the (parallelizable) attempt and rollback overhead.
+applied speculatively) → LRPD analysis → on pass, merge private state;
+on fail, restore the checkpoint and re-execute serially.  The paper's
+key property holds by construction: a failed speculation costs roughly
+the serial execution plus the (parallelizable) attempt and rollback
+overhead.
 
-:class:`SpeculationPipeline` strip-mines that protocol: the iteration
-space is partitioned into strips that are speculated, tested and
-*committed* one at a time, in serial order.  A failed strip rolls back
-and re-executes only itself serially before speculation resumes, so
-misspeculation loss is bounded by one strip and loops that are only
-*partially* parallel (a dependence cluster somewhere in the iteration
-space) still extract speedup from their parallel regions — the
-R-LRPD-style sliding commit later work built on the paper's protocol.
-Cross-strip dependences need no test at all: strips commit in serial
-order, so a later strip always reads earlier strips' committed values.
+A *sizer* cuts the iteration space into the attempts the driver makes.
+:class:`WholeLoop` is the paper's all-or-nothing protocol — one attempt
+over every iteration.  :class:`FixedStripSizer` and
+:class:`~repro.runtime.adaptive.AdaptiveStripSizer` strip-mine it: the
+strips are speculated, tested and *committed* one at a time, in serial
+order.  A failed strip rolls back and re-executes only itself serially
+before speculation resumes, so misspeculation loss is bounded by one
+strip and loops that are only *partially* parallel (a dependence cluster
+somewhere in the iteration space) still extract speedup from their
+parallel regions — the R-LRPD-style sliding commit later work built on
+the paper's protocol.  Cross-strip dependences need no test at all:
+strips commit in serial order, so a later strip always reads earlier
+strips' committed values.
+
+The phases the driver shares with the inspector/executor, schedule reuse
+and refused runs are module functions: :func:`loop_values`,
+:func:`price_doall`, :func:`commit` and :func:`roll_back`, composed for
+runs whose verdict is already known by :func:`run_with_verdict`.
+Commit and rollback are timed only here.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.analysis.dependence import measure_shadow_distances
 from repro.analysis.instrument import InstrumentationPlan
 from repro.core.checkpoint import Checkpoint
 from repro.core.lrpd import StripAggregator, analyze_shadows
@@ -39,225 +51,177 @@ from repro.interp.interpreter import Interpreter
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.machine.stats import StripRecord, TimeBreakdown, WallClock
-from repro.runtime.doall import DoallRun, finalize_doall, run_doall
-from repro.runtime.serial import (
-    loop_iteration_values,
-    rerun_loop_serially,
-    rerun_values_serially,
-)
+from repro.runtime.doall import DoallRun, FinalizeStats, finalize_doall, run_doall
+from repro.runtime.engines import needs_worker_pool, recovery_engine
+from repro.runtime.serial import loop_iteration_values, rerun_values_serially
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.adaptive import AdaptiveStripSizer
+    from repro.runtime.engines.doacross import RecoveryRun
+
+# ---------------------------------------------------------------------------
+# Shared phases
+# ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpeculativeOutcome:
-    """What one speculative attempt produced."""
+def loop_values(
+    program: Program, loop: Do, env: Environment
+) -> tuple[list[int], int, int]:
+    """Evaluate the loop bounds once, at loop entry.
 
-    result: LrpdResult
-    times: TimeBreakdown
-    run: DoallRun
-    stats: dict[str, float]
-    #: measured wall-clock seconds per phase (real host time, recorded
-    #: for every engine; the interesting one is ``engine="parallel"``).
-    wall: WallClock = field(default_factory=WallClock)
-    #: the DOACROSS recovery tier's go/veto rationale (None when the run
-    #: passed or recovery was not requested).
-    recovery_decision: str | None = None
-
-
-def _plan_recovery(marker: ShadowMarker, run: DoallRun, granularity: Granularity):
-    """Resolve the recovery engine and its go/veto for one failed region.
-
-    Must be called while the failed attempt's shadow stamps are still
-    intact (before the marker is reset for a next strip).  Returns
-    ``(engine, distance, reason)`` with ``distance`` None on a veto.
+    Returns the iteration values, the step, and the loop variable's exit
+    value: where a serial execution leaves it — one step past the last
+    value, or the start value when the loop runs zero times.
     """
-    from repro.analysis.dependence import measure_shadow_distances
-    from repro.runtime.engines import recovery_engine
+    start, stop, step = Interpreter(
+        program, env, value_based=False
+    ).eval_loop_bounds(loop)
+    values = loop_iteration_values(start, stop, step)
+    return values, step, (values[-1] + step if values else start)
 
-    engine = recovery_engine()
-    report = measure_shadow_distances(marker, run.num_iterations)
-    distance, reason = engine.recovery_decision(
-        report, aborted=run.aborted, granularity=granularity
+
+def price_doall(
+    sim: DoallSimulator,
+    run: DoallRun,
+    schedule: ScheduleKind,
+    times: TimeBreakdown,
+) -> None:
+    """Price one doall's private initialization and parallel body."""
+    times.private_init = sim.private_init_time(
+        sum(p.size for p in run.privates.values())
     )
-    return engine, distance, reason
+    times.body, times.dispatch, times.barrier = sim.doall_time(
+        run.iteration_costs,
+        assignment=None if schedule is ScheduleKind.DYNAMIC else run.assignment,
+    )
 
 
-def run_speculative(
+def commit(
+    run: DoallRun,
+    env: Environment,
+    plan: InstrumentationPlan,
+    sim: DoallSimulator,
+    times: TimeBreakdown,
+    wall: WallClock,
+) -> FinalizeStats:
+    """Fold a passed doall's private state into ``env``, timed and priced."""
+    tick = time.perf_counter()
+    finalize = finalize_doall(run, env, plan)
+    wall.commit += time.perf_counter() - tick
+    times.reduction_merge = sim.reduction_merge_time(finalize.reduction_merged)
+    times.copy_out = sim.copy_out_time(finalize.copied_out)
+    return finalize
+
+
+def roll_back(
+    program: Program,
+    loop: Do,
+    env: Environment,
+    values: list[int],
+    step: int,
+    sim: DoallSimulator,
+    times: TimeBreakdown,
+    wall: WallClock,
+    *,
+    checkpoint: Checkpoint | None = None,
+    distance: int | None = None,
+) -> RecoveryRun | None:
+    """Restore ``checkpoint`` (when a speculative attempt ran) and
+    re-execute ``values`` in place, timed and priced.
+
+    The re-execution is serial, or — with a recovery ``distance`` — a
+    serial-order run priced as a pipelined DOACROSS by the registry's
+    recovery engine, whose :class:`RecoveryRun` is returned (None for a
+    plain serial re-run).  The state is bit-identical either way.
+    """
+    tick = time.perf_counter()
+    if checkpoint is not None:
+        checkpoint.restore()
+        times.restore = sim.restore_time(checkpoint.elements_saved)
+    rec = None
+    if distance is not None:
+        rec = recovery_engine().recover(
+            program, loop, env, values, step, sim, distance=distance
+        )
+        times.doacross = rec.time.total
+    else:
+        interp = Interpreter(program, env, value_based=False)
+        times.serial_rerun, _costs = rerun_values_serially(
+            interp, loop, values, step, sim.model
+        )
+    wall.rollback += time.perf_counter() - tick
+    return rec
+
+
+def run_with_verdict(
     program: Program,
     loop: Do,
     env: Environment,
     plan: InstrumentationPlan,
     sim: DoallSimulator,
-    *,
-    test_mode: TestMode = TestMode.LRPD,
-    granularity: Granularity = Granularity.ITERATION,
-    schedule: ScheduleKind = ScheduleKind.BLOCK,
-    dynamic_last_value: bool = True,
-    directional: bool = True,
-    eager: bool = False,
-    engine: str = "compiled",
-    marker: ShadowMarker | None = None,
-    workers: int | None = None,
-    pool=None,
-    backend: str = "fork",
-    profiles=None,
-    loop_key: str | None = None,
-    recovery: bool = False,
-) -> SpeculativeOutcome:
-    """Run the full speculative protocol; ``env`` must be at loop entry.
+    passed: bool,
+    times: TimeBreakdown,
+    wall: WallClock,
+    **doall_options,
+) -> tuple[DoallRun | None, FinalizeStats | None]:
+    """Run the whole loop once its verdict is known, without marking.
 
-    On return ``env`` holds the post-loop state regardless of the test's
-    outcome (merged on pass, restored + serially recomputed on fail).
-    With ``recovery`` a failed test measures the shadow dependence
-    distances first and — unless the deterministic veto fires — prices
-    the re-execution as a pipelined DOACROSS instead of a serial re-run;
-    the re-executed state is bit-identical either way.
-
-    ``engine`` selects the doall iteration executor (see
-    :func:`repro.runtime.doall.run_doall`); ``workers``/``pool`` are the
-    parallel engine's real process count / persistent worker pool.
-    ``marker`` optionally recycles a previous attempt's shadow buffers
-    (reset in place instead of reallocating seven numpy arrays per
-    tested array); it must have been built for the same tested arrays
-    and sizes, else a fresh one is made.
+    The inspector's executor half, schedule reuse and refused runs end
+    here.  A passed verdict runs an unmarked doall (the privatization
+    and reduction transforms still apply, they are semantic) and commits
+    it; a failed or refused one runs the loop serially.  No checkpoint
+    is taken: nothing speculative runs.  ``doall_options`` go to
+    :func:`~repro.runtime.doall.run_doall`; pricing the doall is the
+    caller's (see :func:`price_doall`).  Returns the doall run and its
+    commit counts, both None after a serial run.
     """
-    if granularity is Granularity.PROCESSOR and schedule is not ScheduleKind.BLOCK:
-        raise SpeculationError(
-            "the processor-wise test requires block scheduling (granule "
-            "numbering must follow serial order)"
-        )
-    times = TimeBreakdown()
-    wall = WallClock()
-    stats: dict[str, float] = {}
-
-    # Scope the checkpoint to the arrays the instrumentation plan marks
-    # as written (tested and reduction arrays are written arrays too, so
-    # they stay covered) — arrays the loop only reads are never saved.
-    tick = time.perf_counter()
-    protected = set(plan.checkpoint_arrays)
-    checkpoint = Checkpoint(env, protected)
-    wall.checkpoint = time.perf_counter() - tick
-    times.checkpoint = sim.checkpoint_time(checkpoint.elements_saved)
-    stats["checkpoint_elements"] = float(checkpoint.elements_saved)
-
-    shadow_sizes = {name: env.array_size(name) for name in plan.tested_arrays}
-    eager_enabled = (
-        eager
-        and test_mode is TestMode.LRPD
-        and granularity is Granularity.ITERATION
-        and directional
-        and dynamic_last_value
-    )
-    if marker is not None and {
-        name: shadow.size for name, shadow in marker.shadows.items()
-    } == shadow_sizes:
-        marker.reset(granularity, eager=eager_enabled)
-    else:
-        marker = ShadowMarker(
-            shadow_sizes, granularity=granularity, eager=eager_enabled
-        )
-    times.shadow_init = sim.shadow_init_time(sum(shadow_sizes.values()))
-
-    tick = time.perf_counter()
-    run = run_doall(
-        program,
-        loop,
-        env,
-        plan,
-        sim.num_procs,
-        marker=marker,
-        value_based=(test_mode is TestMode.LRPD),
-        schedule=schedule,
-        engine=engine,
-        workers=workers,
-        pool=pool,
-        backend=backend,
-        profiles=profiles,
-        loop_key=loop_key,
-    )
-    wall.doall = time.perf_counter() - tick
-    wall.jit_compile = run.jit_compile_s
-    times.private_init = sim.private_init_time(
-        sum(p.size for p in run.privates.values())
-    )
-    body, dispatch, barrier = sim.doall_time(
-        run.iteration_costs,
-        assignment=None if schedule is ScheduleKind.DYNAMIC else run.assignment,
-    )
-    times.body, times.dispatch, times.barrier = body, dispatch, barrier
-
-    tick = time.perf_counter()
-    result = analyze_shadows(
-        marker,
-        test_mode,
-        dynamic_last_value=dynamic_last_value,
-        directional=directional,
-    )
-    wall.analysis = time.perf_counter() - tick
-    if run.aborted:
-        # On-the-fly detection already decided: no analysis phase runs.
-        assert not result.passed, "eager abort must imply a failing analysis"
-        times.analysis = 0.0
-        stats["aborted_after"] = float(run.executed_iterations)
-    else:
-        times.analysis = sim.analysis_time(sum(shadow_sizes.values()))
-
-    stats["marks"] = float(sum(c.marks for c in run.iteration_costs))
-    stats["iterations"] = float(run.num_iterations)
-
-    if result.passed:
+    values, step, exit_value = loop_values(program, loop, env)
+    run = finalize = None
+    if passed:
         tick = time.perf_counter()
-        finalize = finalize_doall(run, env, plan, loop)
-        wall.commit = time.perf_counter() - tick
-        times.reduction_merge = sim.reduction_merge_time(finalize.reduction_merged)
-        times.copy_out = sim.copy_out_time(finalize.copied_out)
-        stats["reduction_merged"] = float(finalize.reduction_merged)
-        stats["copied_out"] = float(finalize.copied_out)
-    else:
-        recovery_decision = None
-        rec_engine = None
-        distance = None
-        if recovery:
-            rec_engine, distance, recovery_decision = _plan_recovery(
-                marker, run, granularity
-            )
-        tick = time.perf_counter()
-        checkpoint.restore()
-        times.restore = sim.restore_time(checkpoint.elements_saved)
-        if distance is not None:
-            _start, _stop, step = Interpreter(
-                program, env, value_based=False
-            ).eval_loop_bounds(loop)
-            rec = rec_engine.recover(
-                program, loop, env, run.values, step, sim, distance=distance
-            )
-            times.doacross = rec.time.total
-            stats["recovered_iterations"] = float(rec.iterations)
-            stats["recovery_distance"] = float(distance)
-            stats["recovery_sync_waits"] = float(rec.time.sync_waits)
-            stats["recovery_sync_wait_cycles"] = rec.time.sync_wait_cycles
-            stats["recovered_fraction"] = rec.recovered_fraction
-        else:
-            serial_interp = Interpreter(program, env, value_based=False)
-            serial_time, _costs = rerun_loop_serially(
-                serial_interp, loop, sim.model
-            )
-            times.serial_rerun = serial_time
-            if recovery:
-                stats["recovered_fraction"] = 0.0
-        wall.rollback = time.perf_counter() - tick
-        return SpeculativeOutcome(
-            result=result, times=times, run=run, stats=stats, wall=wall,
-            recovery_decision=recovery_decision,
+        run = run_doall(
+            program, loop, env, plan, sim.num_procs, marker=None,
+            value_based=False, values=values, **doall_options,
         )
+        wall.doall += time.perf_counter() - tick
+        finalize = commit(run, env, plan, sim, times, wall)
+    else:
+        roll_back(program, loop, env, values, step, sim, times, wall)
+    env.set_scalar(loop.var, exit_value)
+    return run, finalize
 
-    return SpeculativeOutcome(
-        result=result, times=times, run=run, stats=stats, wall=wall
+
+def _plan_recovery(
+    marker: ShadowMarker, run: DoallRun, granularity: Granularity
+) -> tuple[int | None, str]:
+    """The recovery engine's go/veto for one failed attempt.
+
+    Must be called while the failed attempt's shadow stamps are still
+    intact (before the marker is reset for a next strip).  Returns
+    ``(distance, reason)`` with ``distance`` None on a veto.
+    """
+    report = measure_shadow_distances(marker, run.num_iterations)
+    return recovery_engine().recovery_decision(
+        report, aborted=run.aborted, granularity=granularity
     )
 
 
 # ---------------------------------------------------------------------------
-# Strip-mined speculation
+# Sizers
 # ---------------------------------------------------------------------------
+
+
+class WholeLoop:
+    """The one-strip policy: the paper's all-or-nothing protocol.
+
+    One attempt covers every iteration (a zero-trip loop included), the
+    checkpoint saves all of ``plan.checkpoint_arrays``, the analysis is
+    priced over the full shadows, and nothing is folded or recorded per
+    strip: the outcome's verdict is the attempt's analysis itself.
+    """
+
+    def record(self, passed: bool) -> None:  # noqa: ARG002 - policy hook
+        return None
 
 
 class FixedStripSizer:
@@ -275,41 +239,51 @@ class FixedStripSizer:
         return None
 
 
+# ---------------------------------------------------------------------------
+# The driver
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class PipelineOutcome:
-    """What one strip-mined execution produced."""
+    """What one speculative execution produced."""
 
-    #: aggregate whole-loop verdict (see :class:`StripAggregator`):
+    #: the whole loop's verdict: the analysis itself for :class:`WholeLoop`,
+    #: else the strips' fold (see :class:`StripAggregator`), where
     #: ``passed`` means no strip needed its rollback.
     result: LrpdResult
-    #: field-wise sum of the per-strip breakdowns.
+    #: field-wise sum of the per-attempt breakdowns.
     times: TimeBreakdown
-    #: per-strip accounting, in commit order.
+    #: the last attempt's doall (the whole loop's, unstripped); None
+    #: for a strip-mined zero-trip loop, which makes no attempt.
+    run: DoallRun | None = None
+    #: per-strip accounting, in commit order (empty for :class:`WholeLoop`).
     strips: list[StripRecord] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
-    #: the (recyclable) shadow marker of the last strip.
+    #: the (recyclable) shadow marker of the last attempt.
     marker: ShadowMarker | None = None
-    #: measured wall-clock phase durations, summed over the strips.
+    #: measured wall-clock phase durations, summed over the attempts.
     wall: WallClock = field(default_factory=WallClock)
-    #: first recorded engine-fallback reason across the strips (set when
-    #: ``engine="vectorized"`` degraded to compiled; kept out of
+    #: first recorded engine-fallback reason across the attempts (set
+    #: when ``engine="vectorized"`` degraded to compiled; kept out of
     #: ``stats`` so engine parity over stats still holds).
     fallback_reason: str | None = None
-    #: the engine that executed the first strip's doall.
+    #: the engine that executed the first attempt's doall.
     engine_used: str | None = None
-    #: the ``auto`` planner's rationale for the first strip (None for
+    #: the ``auto`` planner's rationale for the first attempt (None for
     #: explicit engine requests).
     engine_decision: str | None = None
     #: first recorded DOACROSS recovery go/veto rationale across the
-    #: failed strips (None when no strip failed or recovery was off).
+    #: failed attempts (None when none failed or recovery was off).
     recovery_decision: str | None = None
 
 
 class SpeculationPipeline:
-    """Windowed LRPD: speculate, test and commit one strip at a time.
+    """The speculative driver: speculate, test and commit one strip at a
+    time, the whole loop being the one-strip case (:class:`WholeLoop`,
+    the default sizer).
 
-    Each strip runs the full protocol of :func:`run_speculative` over its
-    slice of the iteration space, with three strip-scoped twists:
+    Strip-mined runs (any other sizer) add three strip-scoped twists:
 
     * the checkpoint saves only the state the strip's doall can write *in
       place*: written arrays that are neither privatized (tested) nor
@@ -335,6 +309,16 @@ class SpeculationPipeline:
     per-strip privatization copy-in re-reads the committed shared state,
     which is exactly the copy-in semantics the paper's privatization
     defines.
+
+    With ``recovery`` a failed attempt measures the shadow dependence
+    distances first and — unless the deterministic veto fires — prices
+    its re-execution as a pipelined DOACROSS instead of a serial re-run;
+    the re-executed state is bit-identical either way.  ``engine``
+    selects the doall iteration executor (see
+    :func:`repro.runtime.doall.run_doall`).  ``marker`` optionally
+    recycles a previous run's shadow buffers (reset in place instead of
+    reallocating seven numpy arrays per tested array); it must have been
+    built for the same tested arrays and sizes, else a fresh one is made.
     """
 
     def __init__(
@@ -345,7 +329,7 @@ class SpeculationPipeline:
         plan: InstrumentationPlan,
         sim: DoallSimulator,
         *,
-        sizer: FixedStripSizer,
+        sizer: WholeLoop | FixedStripSizer | AdaptiveStripSizer | None = None,
         test_mode: TestMode = TestMode.LRPD,
         granularity: Granularity = Granularity.ITERATION,
         schedule: ScheduleKind = ScheduleKind.BLOCK,
@@ -371,7 +355,7 @@ class SpeculationPipeline:
         self.env = env
         self.plan = plan
         self.sim = sim
-        self.sizer = sizer
+        self.sizer = sizer if sizer is not None else WholeLoop()
         self.test_mode = test_mode
         self.granularity = granularity
         self.schedule = schedule
@@ -388,21 +372,10 @@ class SpeculationPipeline:
         self.backend = backend
         self.profiles = profiles
         self.loop_key = loop_key
-        #: re-execute failed strips as pipelined DOACROSSes when their
-        #: measured dependence distances allow it (see run_speculative).
         self.recovery = recovery
         self._marker = marker
 
     # -- pieces --------------------------------------------------------------
-
-    def _strip_checkpoint_arrays(self) -> set[str]:
-        """Arrays the strip's doall mutates in place (see class docs)."""
-        plan = self.plan
-        return (
-            set(plan.checkpoint_arrays)
-            - set(plan.tested_arrays)
-            - set(plan.reduction_arrays)
-        )
 
     def _prepare_marker(self, shadow_sizes: dict[str, int], eager_enabled: bool) -> ShadowMarker:
         marker = self._marker
@@ -424,13 +397,25 @@ class SpeculationPipeline:
             for shadow in marker.shadows.values()
         )
 
+    def _strips(self, values: list[int]):
+        """``(strip size, strip values)`` per attempt, sized lazily so an
+        adaptive sizer sees every earlier strip's verdict."""
+        if isinstance(self.sizer, WholeLoop):
+            yield len(values), values
+            return
+        pos = 0
+        while pos < len(values):
+            size = max(1, int(self.sizer.next_size()))
+            yield size, values[pos : pos + size]
+            pos += size
+
     # -- execution -----------------------------------------------------------
 
     def run(self) -> PipelineOutcome:
         """Run the whole loop; ``env`` must be at loop entry.
 
         On return ``env`` holds the exact serial post-loop state: passed
-        strips committed their speculative state in order, failed strips
+        attempts committed their speculative state in order, failed ones
         were rolled back and re-executed serially in place.
 
         When the engine shards onto real worker processes (a registry
@@ -442,8 +427,6 @@ class SpeculationPipeline:
         pool forked here whose shared-memory segments are unlinked on
         the way out even when a strip aborts or a worker raises.
         """
-        from repro.runtime.engines import needs_worker_pool
-
         if self.pool is not None:
             return self._run(self.pool)
         owned = None
@@ -471,9 +454,8 @@ class SpeculationPipeline:
 
     def _run(self, pool) -> PipelineOutcome:
         env, plan, sim = self.env, self.plan, self.sim
-        bounds_interp = Interpreter(self.program, env, value_based=False)
-        start, stop, step = bounds_interp.eval_loop_bounds(self.loop)
-        values = loop_iteration_values(start, stop, step)
+        whole = isinstance(self.sizer, WholeLoop)
+        values, step, exit_value = loop_values(self.program, self.loop, env)
 
         shadow_sizes = {name: env.array_size(name) for name in plan.tested_arrays}
         eager_enabled = (
@@ -483,50 +465,48 @@ class SpeculationPipeline:
             and self.directional
             and self.dynamic_last_value
         )
-        strip_protected = self._strip_checkpoint_arrays()
+        protected = set(plan.checkpoint_arrays)
+        if not whole:
+            # Only what a strip's doall mutates in place (see class docs).
+            protected -= set(plan.tested_arrays) | set(plan.reduction_arrays)
         aggregator = StripAggregator(self.test_mode, self.granularity)
         strips: list[StripRecord] = []
         total = TimeBreakdown()
-        stats: dict[str, float] = {
-            "iterations": float(len(values)),
-            "marks": 0.0,
-            "reduction_merged": 0.0,
-            "copied_out": 0.0,
-            "serial_iterations": 0.0,
-            "aborted_strips": 0.0,
-        }
+        wall = WallClock()
+        stats: dict[str, float] = {"iterations": float(len(values)), "marks": 0.0}
+        if not whole:
+            stats.update(
+                reduction_merged=0.0, copied_out=0.0,
+                serial_iterations=0.0, aborted_strips=0.0,
+            )
 
         marker: ShadowMarker | None = None
-        total_wall = WallClock()
+        run: DoallRun | None = None
+        result: LrpdResult | None = None
         prev_touched = 0
         fallback_reason: str | None = None
         engine_used: str | None = None
         engine_decision: str | None = None
         recovery_decision: str | None = None
-        #: failed-strip cost under the chosen policy vs its plain serial
+        #: failed-attempt cost under the chosen policy vs its plain serial
         #: equivalent — the aggregate recovered fraction's numerator and
-        #: denominator (vetoed strips contribute their serial time to
+        #: denominator (vetoed attempts contribute their serial time to
         #: both, pulling the fraction toward zero).
         recovery_cycles = 0.0
         serial_equiv = 0.0
-        pos = 0
-        while pos < len(values):
-            size = max(1, int(self.sizer.next_size()))
-            strip_values = values[pos : pos + size]
-            pos += len(strip_values)
+        failed = 0
+        for size, strip_values in self._strips(values):
             times = TimeBreakdown()
-            wall = WallClock()
 
             tick = time.perf_counter()
-            checkpoint = Checkpoint(env, strip_protected)
-            wall.checkpoint = time.perf_counter() - tick
+            checkpoint = Checkpoint(env, protected)
+            wall.checkpoint += time.perf_counter() - tick
             times.checkpoint = sim.checkpoint_time(checkpoint.elements_saved)
             stats["checkpoint_elements"] = float(checkpoint.elements_saved)
 
             if marker is None:
-                # First strip: allocate (or recycle a donated marker) and
-                # pay the full shadow initialization, as the unstripped
-                # protocol would.
+                # First attempt: allocate (or recycle a donated marker)
+                # and pay the full shadow initialization.
                 marker = self._prepare_marker(shadow_sizes, eager_enabled)
                 times.shadow_init = sim.shadow_init_time(sum(shadow_sizes.values()))
             else:
@@ -551,18 +531,9 @@ class SpeculationPipeline:
                 profiles=self.profiles,
                 loop_key=self.loop_key,
             )
-            wall.doall = time.perf_counter() - tick
-            wall.jit_compile = run.jit_compile_s
-            times.private_init = sim.private_init_time(
-                sum(p.size for p in run.privates.values())
-            )
-            body, dispatch, barrier = sim.doall_time(
-                run.iteration_costs,
-                assignment=(
-                    None if self.schedule is ScheduleKind.DYNAMIC else run.assignment
-                ),
-            )
-            times.body, times.dispatch, times.barrier = body, dispatch, barrier
+            wall.doall += time.perf_counter() - tick
+            wall.jit_compile += run.jit_compile_s
+            price_doall(sim, run, self.schedule, times)
 
             tick = time.perf_counter()
             result = analyze_shadows(
@@ -571,122 +542,103 @@ class SpeculationPipeline:
                 dynamic_last_value=self.dynamic_last_value,
                 directional=self.directional,
             )
-            wall.analysis = time.perf_counter() - tick
-            touched = self._touched_elements(marker)
+            wall.analysis += time.perf_counter() - tick
+            if whole:
+                times.analysis = sim.analysis_time(sum(shadow_sizes.values()))
+            else:
+                prev_touched = self._touched_elements(marker)
+                times.analysis = sim.strip_analysis_time(prev_touched)
             if run.aborted:
+                # On-the-fly detection already decided: no analysis phase runs.
                 assert not result.passed, "eager abort must imply a failing analysis"
                 times.analysis = 0.0
-                stats["aborted_strips"] += 1.0
-            else:
-                times.analysis = sim.strip_analysis_time(touched)
+                if whole:
+                    stats["aborted_after"] = float(run.executed_iterations)
+                else:
+                    stats["aborted_strips"] += 1.0
             stats["marks"] += float(sum(c.marks for c in run.iteration_costs))
-            strip_recovered = False
 
+            rec = None
             if result.passed:
-                tick = time.perf_counter()
-                finalize = finalize_doall(run, env, plan, self.loop)
-                wall.commit = time.perf_counter() - tick
-                times.reduction_merge = sim.reduction_merge_time(
-                    finalize.reduction_merged
-                )
-                times.copy_out = sim.copy_out_time(finalize.copied_out)
-                stats["reduction_merged"] += float(finalize.reduction_merged)
-                stats["copied_out"] += float(finalize.copied_out)
+                finalize = commit(run, env, plan, sim, times, wall)
+                _add(stats, "reduction_merged", finalize.reduction_merged)
+                _add(stats, "copied_out", finalize.copied_out)
             else:
-                rec_engine = None
+                failed += 1
                 distance = None
                 if self.recovery:
-                    rec_engine, distance, strip_decision = _plan_recovery(
-                        marker, run, self.granularity
-                    )
+                    distance, reason = _plan_recovery(marker, run, self.granularity)
                     if recovery_decision is None:
-                        recovery_decision = strip_decision
-                tick = time.perf_counter()
-                checkpoint.restore()
-                times.restore = sim.restore_time(checkpoint.elements_saved)
-                if distance is not None:
-                    rec = rec_engine.recover(
-                        self.program, self.loop, env, strip_values, step,
-                        sim, distance=distance,
-                    )
-                    times.doacross = rec.time.total
-                    strip_recovered = True
+                        recovery_decision = reason
+                rec = roll_back(
+                    self.program, self.loop, env, strip_values, step, sim,
+                    times, wall, checkpoint=checkpoint, distance=distance,
+                )
+                if rec is not None:
                     recovery_cycles += rec.time.total
                     serial_equiv += rec.serial_equivalent
-                    stats["recovered_iterations"] = (
-                        stats.get("recovered_iterations", 0.0)
-                        + float(rec.iterations)
-                    )
-                    stats["recovery_sync_waits"] = (
-                        stats.get("recovery_sync_waits", 0.0)
-                        + float(rec.time.sync_waits)
-                    )
-                    stats["recovery_sync_wait_cycles"] = (
-                        stats.get("recovery_sync_wait_cycles", 0.0)
-                        + rec.time.sync_wait_cycles
-                    )
+                    _add(stats, "recovered_iterations", rec.iterations)
+                    _add(stats, "recovery_sync_waits", rec.time.sync_waits)
+                    _add(stats, "recovery_sync_wait_cycles", rec.time.sync_wait_cycles)
                     stats["recovery_distance"] = min(
                         stats.get("recovery_distance", float(distance)),
                         float(distance),
                     )
                 else:
-                    serial_interp = Interpreter(
-                        self.program, env, value_based=False
-                    )
-                    serial_time, _costs = rerun_values_serially(
-                        serial_interp, self.loop, strip_values, step, sim.model
-                    )
-                    times.serial_rerun = serial_time
-                    stats["serial_iterations"] += float(len(strip_values))
+                    if not whole:
+                        stats["serial_iterations"] += float(len(strip_values))
                     if self.recovery:
-                        recovery_cycles += serial_time
-                        serial_equiv += serial_time
-                wall.rollback = time.perf_counter() - tick
+                        recovery_cycles += times.serial_rerun
+                        serial_equiv += times.serial_rerun
 
-            aggregator.add_strip(marker, result, recovered=strip_recovered)
-            self.sizer.record(result.passed)
-            strips.append(
-                StripRecord(
-                    index=len(strips),
-                    first_value=strip_values[0],
-                    iterations=len(strip_values),
-                    strip_size=size,
-                    passed=result.passed,
-                    aborted=run.aborted,
-                    times=times,
-                    recovered=strip_recovered,
+            if not whole:
+                aggregator.add_strip(marker, result, recovered=rec is not None)
+                strips.append(
+                    StripRecord(
+                        index=len(strips),
+                        first_value=strip_values[0],
+                        iterations=len(strip_values),
+                        strip_size=size,
+                        passed=result.passed,
+                        aborted=run.aborted,
+                        times=times,
+                        recovered=rec is not None,
+                    )
                 )
-            )
+            self.sizer.record(result.passed)
             total = total.merged_with(times)
-            total_wall = total_wall.merged_with(wall)
-            prev_touched = touched
             if fallback_reason is None and run.fallback_reason is not None:
                 fallback_reason = run.fallback_reason
             if engine_used is None:
                 engine_used = run.engine_used
                 engine_decision = run.engine_decision
 
-        if values:
-            # Normalize the loop variable's exit value; per-strip commits
-            # cannot know the step when a strip has a single iteration.
-            env.set_scalar(self.loop.var, values[-1] + step)
-        stats["strips"] = float(aggregator.strips)
-        stats["strips_failed"] = float(aggregator.strips_failed)
-        if self.recovery:
-            stats["strips_recovered"] = float(aggregator.strips_recovered)
-            if aggregator.strips_failed and serial_equiv > 0.0:
-                stats["recovered_fraction"] = max(
-                    0.0, 1.0 - recovery_cycles / serial_equiv
-                )
+        env.set_scalar(self.loop.var, exit_value)
+        if not whole:
+            stats["strips"] = float(aggregator.strips)
+            stats["strips_failed"] = float(aggregator.strips_failed)
+            if self.recovery:
+                stats["strips_recovered"] = float(aggregator.strips_recovered)
+        if self.recovery and failed:
+            stats["recovered_fraction"] = (
+                max(0.0, 1.0 - recovery_cycles / serial_equiv)
+                if serial_equiv > 0.0 else 0.0
+            )
         return PipelineOutcome(
-            result=aggregator.result(),
+            result=result if whole else aggregator.result(),
             times=total,
+            run=run,
             strips=strips,
             stats=stats,
             marker=marker,
-            wall=total_wall,
+            wall=wall,
             fallback_reason=fallback_reason,
             engine_used=engine_used,
             engine_decision=engine_decision,
             recovery_decision=recovery_decision,
         )
+
+
+def _add(stats: dict[str, float], key: str, amount: float) -> None:
+    """Accumulate one counter across attempts (created on first use)."""
+    stats[key] = stats.get(key, 0.0) + float(amount)

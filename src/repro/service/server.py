@@ -105,10 +105,6 @@ class LoopService:
         try:
             model = build_machine(job.machine, job.procs)
             strategy = Strategy(job.strategy)
-            if (
-                job.strip_size is not None or job.adaptive_strips
-            ) and strategy in (Strategy.SPECULATIVE, Strategy.STRIPPED):
-                strategy = Strategy.STRIPPED
             config = RunConfig(
                 model=model,
                 granularity=Granularity(job.granularity),
@@ -358,6 +354,13 @@ async def _serve_async(server: ReproServer, *, banner=None) -> None:
     if banner is not None:
         print(banner, flush=True)
     await server.serve_until_shutdown()
+    # Shut down already: the loop restores the default action when it
+    # closes, so a late SIGINT/SIGTERM would kill the exiting process
+    # (exit -15) instead of being the no-op it now is.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        with contextlib.suppress(NotImplementedError, RuntimeError):
+            loop.remove_signal_handler(signum)
+            signal.signal(signum, signal.SIG_IGN)
 
 
 def serve_forever(

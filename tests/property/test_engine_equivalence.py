@@ -30,7 +30,7 @@ from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.runtime.engines import registry
 from repro.runtime.serial import run_serial
-from repro.runtime.speculative import run_speculative
+from repro.runtime.speculative import SpeculationPipeline
 
 #: every registered engine that runs without forking real worker
 #: processes (a fork per hypothesis example is prohibitively slow; the
@@ -184,9 +184,9 @@ def test_speculative_engines_agree(w, r, ridx, eager):
         plan = build_plan(program)
         env = Environment(program, inputs)
         sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
-        outcomes[engine] = run_speculative(
+        outcomes[engine] = SpeculationPipeline(
             program, plan.loop, env, plan, sim, eager=eager, engine=engine
-        )
+        ).run()
         envs[engine] = env
 
     walk = outcomes["walk"]

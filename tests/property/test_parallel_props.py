@@ -22,7 +22,7 @@ from repro.interp.env import Environment
 from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
-from repro.runtime.speculative import run_speculative
+from repro.runtime.speculative import SpeculationPipeline
 
 SPEC_N = 10
 SPEC_SIZE = 12
@@ -67,10 +67,10 @@ def test_parallel_backend_agrees_with_compiled(w, r, ridx, eager):
         plan = build_plan(program)
         env = Environment(program, inputs)
         sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
-        outcomes[engine] = run_speculative(
+        outcomes[engine] = SpeculationPipeline(
             program, plan.loop, env, plan, sim,
             eager=eager, engine=engine, workers=2,
-        )
+        ).run()
         envs[engine] = env
 
     ref, par = outcomes["compiled"], outcomes["parallel"]
@@ -124,10 +124,10 @@ def test_vectorized_worker_backend_agrees_with_compiled(w, r, ridx):
         plan = build_plan(program)
         env = Environment(program, inputs)
         sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
-        outcomes[engine] = run_speculative(
+        outcomes[engine] = SpeculationPipeline(
             program, plan.loop, env, plan, sim,
             engine=engine, workers=2 if engine == "vectorized" else None,
-        )
+        ).run()
         envs[engine] = env
 
     ref, vec = outcomes["compiled"], outcomes["vectorized"]

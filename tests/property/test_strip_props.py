@@ -28,11 +28,7 @@ from repro.interp.interpreter import Interpreter
 from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
-from repro.runtime.speculative import (
-    FixedStripSizer,
-    SpeculationPipeline,
-    run_speculative,
-)
+from repro.runtime.speculative import FixedStripSizer, SpeculationPipeline
 
 N = 10
 SIZE = 12
@@ -122,14 +118,14 @@ def test_stripped_matches_serial_and_unstripped(w, r, ridx, strip_size, eager):
     for name in ("a", "s"):
         np.testing.assert_array_equal(walk[1].arrays[name], fast[1].arrays[name])
 
-    # Against the unstripped protocol (fresh env: run_speculative mutates).
+    # Against the unstripped protocol (fresh env: the driver mutates it).
     program = parse(TEMPLATE)
     plan = build_plan(program)
     env = Environment(program, inputs)
     sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
-    unstripped = run_speculative(
+    unstripped = SpeculationPipeline(
         program, plan.loop, env, plan, sim, eager=eager, engine="compiled"
-    )
+    ).run()
 
     stripped = fast[0]
     if unstripped.result.passed:

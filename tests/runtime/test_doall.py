@@ -7,7 +7,11 @@ from repro.analysis.instrument import build_plan
 from repro.core.shadow import Granularity, ShadowMarker
 from repro.dsl.parser import parse
 from repro.interp.env import Environment
+from repro.machine.costmodel import fx80
+from repro.machine.schedule import ScheduleKind
+from repro.machine.simulator import DoallSimulator
 from repro.runtime.doall import finalize_doall, run_doall
+from repro.runtime.speculative import SpeculationPipeline
 
 SOURCE = (
     "program p\n  integer i, n, idx(8)\n  real a(8), v(8)\n"
@@ -60,29 +64,38 @@ class TestExecutionStructure:
 class TestFinalize:
     def test_copy_out_matches_serial(self):
         program, plan, env, run = setup()
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan)
         expected = np.zeros(8)
         idx = np.array([3, 1, 4, 2, 8, 6, 5, 7]) - 1
         expected[idx] = np.arange(8.0) * 2.0
         np.testing.assert_allclose(env.arrays["a"], expected)
 
     def test_loop_var_set_past_bound(self):
-        program, plan, env, run = setup()
-        finalize_doall(run, env, plan, plan.loop)
+        # The exit value is the driver's to set: it alone knows the step
+        # and the whole iteration space.
+        program = parse(SOURCE)
+        plan = build_plan(program)
+        env = Environment(
+            program,
+            {"n": 8, "idx": np.array([3, 1, 4, 2, 8, 6, 5, 7]), "v": np.arange(8.0)},
+        )
+        sim = DoallSimulator(fx80().with_procs(3), ScheduleKind.BLOCK)
+        outcome = SpeculationPipeline(program, plan.loop, env, plan, sim).run()
+        assert outcome.result.passed
         assert env.scalars["i"] == 9
 
     def test_zero_trip_loop(self):
         program, plan, env, run = setup(
             inputs={"n": 0, "idx": np.arange(1, 9), "v": np.zeros(8)}
         )
-        stats = finalize_doall(run, env, plan, plan.loop)
+        stats = finalize_doall(run, env, plan)
         assert run.num_iterations == 0
         assert stats.copied_out == 0
 
     def test_unmarked_run_for_executor_phase(self):
         program, plan, env, run = setup(marked=False)
         assert run.marker is None
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan)
         assert env.arrays["a"].sum() > 0.0
 
 
@@ -98,7 +111,7 @@ class TestScalarHandling:
         env = Environment(program, inputs)
         marker = ShadowMarker({n: env.array_size(n) for n in plan.tested_arrays})
         run = run_doall(program, plan.loop, env, plan, 3, marker=marker)
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan)
         expected = np.zeros(6)
         expected[np.array([2, 4, 6, 1, 3, 5]) - 1] = np.arange(6.0) * 10.0
         np.testing.assert_allclose(env.arrays["a"], expected)
@@ -117,7 +130,7 @@ class TestScalarHandling:
         env = Environment(program, inputs)
         marker = ShadowMarker({n: env.array_size(n) for n in plan.tested_arrays})
         run = run_doall(program, plan.loop, env, plan, 3, marker=marker)
-        finalize_doall(run, env, plan, plan.loop)
+        finalize_doall(run, env, plan)
         assert env.scalars["s"] == pytest.approx(100.0 + 15.0)
 
 

@@ -307,12 +307,7 @@ class TestAutoEngine:
         cfg = RunConfig(
             model=fx80().with_procs(8), engine=engine, **config_kwargs
         )
-        strategy = (
-            Strategy.STRIPPED
-            if config_kwargs.get("strip_size")
-            else Strategy.SPECULATIVE
-        )
-        return runner.run(strategy, cfg)
+        return runner.run(Strategy.SPECULATIVE, cfg)
 
     def test_stripped_parity_and_per_strip_planning(self):
         build = lambda: build_bdna(n=60)  # noqa: E731

@@ -38,7 +38,7 @@ from repro.runtime.parallel_backend import (
     partition_procs,
     run_parallel_doall,
 )
-from repro.runtime.speculative import run_speculative
+from repro.runtime.speculative import SpeculationPipeline
 from repro.workloads import PAPER_LOOPS
 from repro.workloads.synthetic import build_dependence_injected
 
@@ -66,10 +66,10 @@ def spec_outcome(workload, engine, *, workers=None, procs=8, eager=False):
 
     Interpreter(runner.program, env, value_based=False).exec_block(runner._before)
     sim = DoallSimulator(fx80().with_procs(procs), ScheduleKind.BLOCK)
-    outcome = run_speculative(
+    outcome = SpeculationPipeline(
         runner.program, runner.loop, env, runner.plan, sim,
         engine=engine, workers=workers, eager=eager,
-    )
+    ).run()
     return outcome, env
 
 

@@ -7,7 +7,7 @@ from repro.interp.interpreter import Interpreter, find_target_loop
 from repro.machine.costmodel import CostModel
 from repro.runtime.serial import (
     loop_iteration_values,
-    rerun_loop_serially,
+    rerun_values_serially,
     run_serial,
 )
 
@@ -73,7 +73,11 @@ class TestRerunSerially:
         interp = Interpreter(program, env, value_based=False)
         interp.exec_block(program.body[:2])  # n = 8; s = 0.0
         loop = find_target_loop(program)
-        time, iteration_costs = rerun_loop_serially(interp, loop, CostModel())
+        start, stop, step = interp.eval_loop_bounds(loop)
+        values = loop_iteration_values(start, stop, step)
+        time, iteration_costs = rerun_values_serially(
+            interp, loop, values, step, CostModel()
+        )
         assert time > 0.0
         assert len(iteration_costs) == 8
         np.testing.assert_allclose(

@@ -48,16 +48,16 @@ def spec_outcome(workload, engine, *, workers=None, procs=8, eager=False,
     from repro.interp.interpreter import Interpreter
     from repro.machine.schedule import ScheduleKind
     from repro.machine.simulator import DoallSimulator
-    from repro.runtime.speculative import run_speculative
+    from repro.runtime.speculative import SpeculationPipeline
 
     runner = LoopRunner(workload.program(), workload.inputs)
     env = Environment(runner.program, runner.inputs)
     Interpreter(runner.program, env, value_based=False).exec_block(runner._before)
     sim = DoallSimulator(fx80().with_procs(procs), ScheduleKind.BLOCK)
-    outcome = run_speculative(
+    outcome = SpeculationPipeline(
         runner.program, runner.loop, env, runner.plan, sim,
         engine=engine, workers=workers, eager=eager, backend=backend,
-    )
+    ).run()
     return outcome, env
 
 

@@ -21,7 +21,7 @@ from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
-from repro.runtime.speculative import run_speculative
+from repro.runtime.speculative import SpeculationPipeline
 from repro.workloads.bdna import build_bdna
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
@@ -37,10 +37,10 @@ def _speculative(workload, engine, *, eager=False, workers=None):
     env = Environment(program, workload.inputs)
     Interpreter(program, env, value_based=False).exec_block(before)
     sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-    outcome = run_speculative(
+    outcome = SpeculationPipeline(
         program, plan.loop, env, plan, sim,
         engine=engine, eager=eager, workers=workers,
-    )
+    ).run()
     return outcome, env
 
 
@@ -205,9 +205,9 @@ class TestFallback:
             plan = build_plan(program)
             env = Environment(program, inputs)
             sim = DoallSimulator(fx80().with_procs(4), ScheduleKind.BLOCK)
-            outcomes[engine] = run_speculative(
+            outcomes[engine] = SpeculationPipeline(
                 program, plan.loop, env, plan, sim, engine=engine
-            )
+            ).run()
             envs[engine] = env
         vec = outcomes["vectorized"]
         if vec.run.engine_used == "compiled":

@@ -84,6 +84,20 @@ def shadow_segments() -> list[str]:
     return [p.name for p in shm.iterdir() if p.name.startswith(SEGMENT_PREFIX)]
 
 
+def wait_until_up(daemon: subprocess.Popen, socket_path: Path) -> None:
+    """Ping the daemon until it answers (it must not die meanwhile)."""
+    deadline = time.monotonic() + 30.0
+    while True:
+        try:
+            with ReproClient(socket_path, timeout=5.0) as probe:
+                probe.ping()
+            return
+        except Exception:  # noqa: BLE001 - still booting
+            assert daemon.poll() is None, daemon.communicate()[0]
+            assert time.monotonic() < deadline, "daemon never came up"
+            time.sleep(0.1)
+
+
 def test_serve_smoke_64_clients():
     assert len(SPECS) * CLIENTS_PER_SPEC == 64
     socket_path = (
@@ -103,16 +117,7 @@ def test_serve_smoke_64_clients():
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
     try:
-        deadline = time.monotonic() + 30.0
-        while True:
-            try:
-                with ReproClient(socket_path, timeout=5.0) as probe:
-                    probe.ping()
-                break
-            except Exception:  # noqa: BLE001 - still booting
-                assert daemon.poll() is None, daemon.communicate()[0]
-                assert time.monotonic() < deadline, "daemon never came up"
-                time.sleep(0.1)
+        wait_until_up(daemon, socket_path)
 
         served: dict[int, dict] = {}
         errors: list[Exception] = []
@@ -182,3 +187,33 @@ def test_serve_smoke_64_clients():
             break
         time.sleep(0.2)
     assert not strays, f"stray python processes outlived the daemon: {strays}"
+
+
+def test_late_sigterm_after_shutdown_exits_cleanly():
+    """A SIGTERM that lands while the daemon exits after a shutdown op
+    (the smoke test's teardown can send one) must not kill it with the
+    default action: the exit code stays 0."""
+    socket_path = (
+        Path(tempfile.mkdtemp(prefix="repro-", dir="/tmp")) / "d.sock"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", str(socket_path)],
+        env=env, cwd=REPO_ROOT,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        wait_until_up(daemon, socket_path)
+        with ReproClient(socket_path, timeout=10.0) as client:
+            client.shutdown_server()
+        # Past the shutdown op's teardown, inside the interpreter's exit.
+        time.sleep(0.005)
+        if daemon.poll() is None:
+            daemon.terminate()
+        rc = daemon.wait(timeout=60.0)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait(timeout=60.0)
+    assert rc == 0, daemon.communicate()[0]
