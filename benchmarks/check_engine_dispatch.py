@@ -19,7 +19,9 @@ or a direct cache construction, reappears anywhere else under
 across call sites.  Likewise the speculative protocol: checkpoint,
 commit (``finalize_doall``) and the serial re-run are called only from
 :mod:`repro.runtime.speculative`, whose phase functions every strategy
-shares.
+shares.  And the runtime's serial executions run compiled: inside
+``repro/runtime`` only the ``walk`` engine and the marking inspector
+drive the tree walker (``.exec_iteration(`` / ``.exec_block(``).
 
 ::
 
@@ -102,9 +104,8 @@ DRIVER_PATTERNS = {
     "rerun_values_serially": re.compile(r"\brerun_values_serially\s*\("),
 }
 
-#: where each driver phase may appear: its defining module, the driver,
-#: and — for the serial re-run — the DOACROSS recovery engine, which
-#: prices its pipelined re-execution against that serial re-run.
+#: where each driver phase may appear: its defining module and the
+#: driver.
 DRIVER = pathlib.PurePosixPath("repro/runtime/speculative.py")
 DRIVER_ALLOWED = {
     "Checkpoint": (pathlib.PurePosixPath("repro/core/checkpoint.py"), DRIVER),
@@ -112,9 +113,24 @@ DRIVER_ALLOWED = {
     "rerun_values_serially": (
         pathlib.PurePosixPath("repro/runtime/serial.py"),
         DRIVER,
-        pathlib.PurePosixPath("repro/runtime/engines/doacross.py"),
     ),
 }
+
+#: statements executed by the tree walker.  Every serial execution the
+#: runtime performs — the reference, the entry and exit blocks, rollback
+#: and recovery re-runs — runs on the compiled serial executor
+#: (:mod:`repro.interp.compiled`); inside ``repro/runtime`` the walker
+#: executes statements only where it is asked for (the ``walk`` engine)
+#: or is the instrument (the marking inspector).
+WALKER_PATTERNS = (
+    re.compile(r"\.exec_iteration\s*\("),
+    re.compile(r"\.exec_block\s*\("),
+)
+WALKER_CHECKED = pathlib.PurePosixPath("repro/runtime")
+WALKER_ALLOWED = (
+    pathlib.PurePosixPath("repro/runtime/engines/walk.py"),
+    pathlib.PurePosixPath("repro/runtime/inspector.py"),
+)
 
 #: the one place engine names may be compared/declared.
 ALLOWED = pathlib.PurePosixPath("repro/runtime/engines")
@@ -155,9 +171,14 @@ def lint(root: pathlib.Path) -> list[str]:
             pattern for name, pattern in DRIVER_PATTERNS.items()
             if relative not in DRIVER_ALLOWED[name]
         ]
+        check_walker = (
+            WALKER_CHECKED in relative.parents
+            and relative not in WALKER_ALLOWED
+        )
         if not (
             check_engine or check_backend or check_cache
             or check_service or check_frontend or driver_patterns
+            or check_walker
         ):
             continue
         for lineno, line in enumerate(
@@ -182,9 +203,12 @@ def lint(root: pathlib.Path) -> list[str]:
             driver_hit = any(
                 pattern.search(line) for pattern in driver_patterns
             )
+            walker_hit = check_walker and any(
+                pattern.search(line) for pattern in WALKER_PATTERNS
+            )
             if (
                 engine_hit or backend_hit or cache_hit
-                or service_hit or frontend_hit or driver_hit
+                or service_hit or frontend_hit or driver_hit or walker_hit
             ):
                 hits.append(f"{path}:{lineno}: {line.strip()}")
     return hits
@@ -223,10 +247,12 @@ def main(argv: list[str] | None = None) -> int:
             f"engines, pools or arenas directly, and Program "
             f"construction (parse/ProgramBuilder) belongs behind the "
             f"frontend registry (repro/frontend; repro/dsl and "
-            f"repro/workloads excepted), and Checkpoint(, "
+            f"repro/workloads excepted), Checkpoint(, "
             f"finalize_doall( and rerun_values_serially( are phases of "
-            f"the one speculative driver (repro/runtime/speculative.py; "
-            f"the DOACROSS recovery engine may re-run serially):",
+            f"the one speculative driver (repro/runtime/speculative.py), "
+            f"and inside repro/runtime only the walk engine and the "
+            f"marking inspector may call .exec_iteration( or "
+            f".exec_block( (serial executions run compiled):",
             file=sys.stderr,
         )
         for hit in hits:

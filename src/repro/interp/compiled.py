@@ -2,17 +2,18 @@
 
 The tree-walking interpreter (:mod:`repro.interp.interpreter`) pays
 dynamic dispatch on every AST node.  For the *serial* executions the
-framework performs constantly — the reference oracle, the serial
-re-execution after a failed speculation, trace extraction — this module
-compiles a program once into nested Python closures: each expression
-becomes a function ``rt -> value``, each statement a function
-``rt -> None``, composed bottom-up.
+runtime performs constantly — the serial reference run, the loop's entry
+and exit blocks, and the rollback and DOACROSS-recovery re-runs after a
+failed speculation — this module compiles a program once into nested
+Python closures: each expression becomes a function ``rt -> value``,
+each statement a function ``rt -> None``, composed bottom-up.
 
 Semantics and *operation counting* are bit-identical to the tree walker
 (including short-circuit ``and``/``or`` counting only the evaluated
 side), which the equivalence property tests enforce.  The engine is
-serial-only: no memory routing, no observers, no taint tracking — the
-speculative paths keep the instrumented tree walker.
+serial-only: no memory routing, no observers, no taint tracking.  Its
+stores write ``env.arrays`` directly (see
+:meth:`~repro.interp.env.Environment.bump_version`).
 """
 
 from __future__ import annotations

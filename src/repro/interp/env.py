@@ -150,11 +150,14 @@ class Environment:
     def bump_version(self, name: str) -> None:
         """Invalidate ``name``'s memoized content digest.
 
-        Every mutating :class:`Environment` method calls this; code that
-        writes ``env.arrays[...]`` directly only ever touches arrays the
-        loop writes, which are never pattern-signature inputs (the
-        signature is disabled for loop-written address arrays), so the
-        memo stays sound.
+        Every mutating :class:`Environment` method calls this.  Code
+        that writes ``env.arrays[...]`` directly does not: the compiled
+        executors, including the runner's compiled entry block, which
+        may write pattern-signature inputs (SPICE's linked list).  The
+        memo stays sound because every run builds a fresh environment
+        and takes its pattern signature only after the entry block has
+        finished: no digest exists yet that a direct write could make
+        stale.
         """
         self._versions[name] = self._versions.get(name, 0) + 1
 

@@ -4,20 +4,23 @@ A failed LRPD test no longer has to mean full serial re-execution: the
 shadow arrays the test populated already bound every cross-iteration
 dependence distance the loop exercised
 (:func:`repro.analysis.dependence.measure_shadow_distances`).  When the
-minimum measured distance ``d`` exceeds 1, the failed region is
-re-executed in serial order — so the final state stays bit-identical to
-the rollback path — while the *priced* execution is a chunked, pipelined
-DOACROSS: static chunks round-robin over the processors with post/wait
-synchronization at distance ``d``, exactly the Saltz/Mirchandaney
-discipline :mod:`repro.baselines.doacross` prices for fully inspected
-loops.  Anti dependences are covered by the old/new-copy renaming that
-discipline assumes; multiply-written elements and distance-≤1 chains
+minimum measured distance ``d`` exceeds 1, the speculative driver
+re-executes the failed region in serial order, on the same compiled
+serial re-run as a plain rollback — so the final state stays
+bit-identical to the rollback path — and this engine *prices* that
+re-run as a chunked, pipelined DOACROSS: static chunks round-robin over
+the processors with post/wait synchronization at distance ``d``,
+exactly the Saltz/Mirchandaney discipline
+:mod:`repro.baselines.doacross` prices for fully inspected loops.  Anti
+dependences are covered by the old/new-copy renaming that discipline
+assumes; multiply-written elements and distance-≤1 chains
 deterministically veto the recovery (the region really is serial).
 
-The engine never runs marked doalls itself — ``execute_doall`` declines
-to its fallback — it exists in the registry so capability queries, CLI
-choices, the generated docs table and the fallback chains all see the
-recovery tier through the same seam as every executor.
+The engine executes nothing itself — ``execute_doall`` declines to its
+fallback and :meth:`DoacrossEngine.recover` only prices — it exists in
+the registry so capability queries, CLI choices, the generated docs
+table and the fallback chains all see the recovery tier through the
+same seam as every executor.
 """
 
 from __future__ import annotations
@@ -27,15 +30,12 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.dependence import DistanceReport
 from repro.core.shadow import Granularity
-from repro.interp.interpreter import Interpreter
 from repro.machine.simulator import DoacrossRecoveryTime
 from repro.runtime.engines.base import DoallContext, EngineCaps, EngineFallback, ExecutionEngine
 from repro.runtime.engines.registry import registry
-from repro.runtime.serial import rerun_values_serially
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dsl.ast_nodes import Do, Program
-    from repro.interp.env import Environment
+    from repro.interp.costs import IterationCost
     from repro.machine.simulator import DoallSimulator
     from repro.runtime.doall import DoallRun
 
@@ -60,7 +60,8 @@ class RecoveryRun:
 
 
 class DoacrossEngine(ExecutionEngine):
-    """Pipelined post/wait re-execution of failed LRPD regions."""
+    """Prices the re-execution of failed LRPD regions as a pipelined
+    post/wait DOACROSS."""
 
     name = "doacross"
     caps = EngineCaps(recovery=True, fallback="compiled")
@@ -124,33 +125,26 @@ class DoacrossEngine(ExecutionEngine):
 
     def recover(
         self,
-        program: "Program",
-        loop: "Do",
-        env: "Environment",
-        values: list[int],
-        step: int,
+        costs: list["IterationCost"],
+        serial_time: float,
         sim: "DoallSimulator",
         *,
         distance: int,
     ) -> RecoveryRun:
-        """Re-execute ``values`` in place, priced as a pipelined DOACROSS.
+        """Price a failed region's serial re-run as a pipelined DOACROSS.
 
-        The iterations run serially in serial order — identical state
-        effects to the rollback path's
-        :func:`~repro.runtime.serial.rerun_values_serially`, which is
-        what makes bit-identity unconditional — while the recorded cost
-        is the chunked post/wait makespan over the measured per-iteration
-        cycles (the emulate-then-price architecture every strategy uses).
+        ``costs`` and ``serial_time`` are the per-iteration costs and
+        the cycles of the re-run the driver already executed
+        (:func:`~repro.runtime.serial.rerun_values_serially`, in serial
+        order — which is what makes bit-identity with the rollback path
+        unconditional); the recorded cost is the chunked post/wait
+        makespan over those costs (the emulate-then-price architecture
+        every strategy uses).
         """
-        serial_interp = Interpreter(program, env, value_based=False)
-        serial_time, costs = rerun_values_serially(
-            serial_interp, loop, values, step, sim.model
-        )
-        priced = sim.doacross_time(costs, distance=distance)
         return RecoveryRun(
-            time=priced,
+            time=sim.doacross_time(costs, distance=distance),
             serial_equivalent=serial_time,
-            iterations=len(values),
+            iterations=len(costs),
             distance=distance,
         )
 

@@ -28,9 +28,10 @@ from repro.core.outcomes import TestMode
 from repro.core.shadow import Granularity
 from repro.dsl.ast_nodes import Program
 from repro.errors import SpeculationError
+from repro.interp.compiled import CompiledProgram, compile_program
 from repro.interp.costs import CostCounter
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter, split_at_loop
+from repro.interp.interpreter import split_at_loop
 from repro.machine.costmodel import CostModel, fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
@@ -164,6 +165,9 @@ class LoopRunner:
         #: The caller owns the cache's lifetime (``pools.close()``).
         self.pools = pools
         self._serial_runs: dict[str, SerialRun] = {}
+        #: the program compiled for the serial executions of every run
+        #: (entry and exit blocks, rollback re-runs), at first use.
+        self._compiled: CompiledProgram | None = None
         #: shadow marker recycled across speculative attempts (reset in
         #: place instead of reallocating the shadow buffers every run).
         self._spec_marker = None
@@ -247,16 +251,24 @@ class LoopRunner:
         report.cache_stats = self.profiles.counters()
         return report
 
-    def _env_at_loop_entry(self, model: CostModel) -> tuple[Environment, float]:
+    def _compiled_program(self) -> CompiledProgram:
+        if self._compiled is None:
+            self._compiled = compile_program(self.program)
+        return self._compiled
+
+    def _env_at_loop_entry(self) -> Environment:
         env = Environment(self.program, self.inputs)
-        cost = CostCounter()
-        interp = Interpreter(self.program, env, cost=cost, value_based=False)
-        interp.exec_block(self._before)
-        return env, model.iteration_cycles(cost.total())
+        if self._before:
+            self._compiled_program().run_statements(
+                self._before, env, CostCounter()
+            )
+        return env
 
     def _finish(self, env: Environment) -> None:
-        interp = Interpreter(self.program, env, value_based=False)
-        interp.exec_block(self._after)
+        if self._after:
+            self._compiled_program().run_statements(
+                self._after, env, CostCounter()
+            )
 
     def _run_serial(self, config: RunConfig) -> ExecutionReport:
         reference = self.serial_run(config.model, config.engine)
@@ -280,11 +292,13 @@ class LoopRunner:
         loop-carried scalar statically blocks speculation, or (with a
         planner engine and ``reason`` set) the loop's recorded failure
         history vetoes another attempt.  Nothing speculated, so the
-        report records no wall-clock phases."""
+        serial run is the report's only wall-clock phase (``rollback``)."""
         times = TimeBreakdown()
+        wall = WallClock()
         run_with_verdict(
             self.program, self.loop, env, self.plan, sim,
-            passed=False, times=times, wall=WallClock(),
+            passed=False, times=times, wall=wall,
+            compiled=self._compiled_program(),
         )
         self._finish(env)
         return ExecutionReport(
@@ -297,6 +311,7 @@ class LoopRunner:
             serial_loop_time=reference.loop_time,
             env=env,
             stats={"refused": 1.0},
+            wall=wall,
             engine_decisions=self._decisions(reason),
         )
 
@@ -425,7 +440,7 @@ class LoopRunner:
         is set).  Only whole-loop runs consult the schedule cache.
         """
         sim = DoallSimulator(config.model, config.schedule)
-        env, _setup = self._env_at_loop_entry(config.model)
+        env = self._env_at_loop_entry()
         reference = self.serial_run(config.model, config.engine)
 
         if not self.plan.parallelizable_scalars:
@@ -491,8 +506,10 @@ class LoopRunner:
             profiles=self.profiles,
             loop_key=self._loop_key(),
             recovery=recovery,
+            compiled=self._compiled,
         ).run()
         self._spec_marker = outcome.marker
+        self._compiled = outcome.compiled
         outcome.wall.signature = signature_s
         if signature is not None:
             self.profiles.record_verdict(self._loop_key(), signature, outcome.result)
@@ -571,6 +588,7 @@ class LoopRunner:
             workers=reuse_workers, pool=pool, backend=config.backend,
             profiles=self.profiles, loop_key=self._loop_key(),
             need_costs=memo is None,
+            compiled=None if cached.passed else self._compiled_program(),
         )
         fallback_reason = engine_used = engine_decision = None
         if run is not None:
@@ -607,7 +625,7 @@ class LoopRunner:
 
     def _run_inspector(self, config: RunConfig) -> ExecutionReport:
         sim = DoallSimulator(config.model, config.schedule)
-        env, _setup = self._env_at_loop_entry(config.model)
+        env = self._env_at_loop_entry()
         reference = self.serial_run(config.model, config.engine)
         outcome = run_inspector_executor(
             self.program,

@@ -8,9 +8,10 @@ failed speculation.
 from __future__ import annotations
 
 from repro.dsl.ast_nodes import Do, Program
+from repro.interp.compiled import CompiledProgram
 from repro.interp.costs import CostCounter, IterationCost
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter, find_target_loop, split_at_loop
+from repro.interp.interpreter import find_target_loop, split_at_loop
 from repro.machine.costmodel import CostModel
 from repro.runtime.results import SerialRun
 
@@ -59,29 +60,26 @@ def run_serial(
 
 
 def rerun_values_serially(
-    interp: Interpreter,
+    compiled: CompiledProgram,
     loop: Do,
+    env: Environment,
     values: list[int],
     step: int,
     model: CostModel,
 ) -> tuple[float, list[IterationCost]]:
-    """Serially re-execute the given iterations of the target loop (a
-    rolled-back strip, or the whole loop after a failed or refused
-    speculation).
+    """Serially re-execute the given iterations of the target loop in
+    ``env`` (a rolled-back strip, or the whole loop after a failed or
+    refused speculation) on the compiled serial executor.
 
     The loop bounds are not re-evaluated — the caller already knows the
     iteration values — and only the executed iterations are charged.
     ``step`` positions the loop variable past the last value, exactly
     where a serial execution of those iterations would leave it.
+    Returns the re-run's cycles and its per-iteration costs.
     """
     cost = CostCounter()
-    previous = interp.cost
-    interp.cost = cost
-    for value in values:
-        interp.exec_iteration(loop, value)
+    compiled.run_loop(loop, env, cost, values)
     if values:
-        interp.env.set_scalar(loop.var, values[-1] + step)
-    interp.cost = previous
+        env.set_scalar(loop.var, values[-1] + step)
     iteration_costs = list(cost.iteration_costs)
     return sum(model.iteration_cycles(c) for c in iteration_costs), iteration_costs
-

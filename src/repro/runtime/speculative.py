@@ -46,6 +46,7 @@ from repro.core.outcomes import LrpdResult, TestMode
 from repro.core.shadow import Granularity, ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
 from repro.errors import SpeculationError
+from repro.interp.compiled import CompiledProgram, compile_program
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.machine.schedule import ScheduleKind
@@ -114,7 +115,7 @@ def commit(
 
 
 def roll_back(
-    program: Program,
+    compiled: CompiledProgram,
     loop: Do,
     env: Environment,
     values: list[int],
@@ -127,28 +128,29 @@ def roll_back(
     distance: int | None = None,
 ) -> RecoveryRun | None:
     """Restore ``checkpoint`` (when a speculative attempt ran) and
-    re-execute ``values`` in place, timed and priced.
+    re-execute ``values`` in place on the compiled serial executor,
+    timed and priced.
 
-    The re-execution is serial, or — with a recovery ``distance`` — a
-    serial-order run priced as a pipelined DOACROSS by the registry's
+    The re-run executes once and is priced serially, or — with a
+    recovery ``distance`` — as a pipelined DOACROSS by the registry's
     recovery engine, whose :class:`RecoveryRun` is returned (None for a
-    plain serial re-run).  The state is bit-identical either way.
+    plain serial re-run).  The state is the same either way.
     """
     tick = time.perf_counter()
     if checkpoint is not None:
         checkpoint.restore()
         times.restore = sim.restore_time(checkpoint.elements_saved)
+    serial_time, costs = rerun_values_serially(
+        compiled, loop, env, values, step, sim.model
+    )
     rec = None
-    if distance is not None:
+    if distance is None:
+        times.serial_rerun = serial_time
+    else:
         rec = recovery_engine().recover(
-            program, loop, env, values, step, sim, distance=distance
+            costs, serial_time, sim, distance=distance
         )
         times.doacross = rec.time.total
-    else:
-        interp = Interpreter(program, env, value_based=False)
-        times.serial_rerun, _costs = rerun_values_serially(
-            interp, loop, values, step, sim.model
-        )
     wall.rollback += time.perf_counter() - tick
     return rec
 
@@ -162,6 +164,8 @@ def run_with_verdict(
     passed: bool,
     times: TimeBreakdown,
     wall: WallClock,
+    *,
+    compiled: CompiledProgram | None = None,
     **doall_options,
 ) -> tuple[DoallRun | None, FinalizeStats | None]:
     """Run the whole loop once its verdict is known, without marking.
@@ -169,8 +173,9 @@ def run_with_verdict(
     The inspector's executor half, schedule reuse and refused runs end
     here.  A passed verdict runs an unmarked doall (the privatization
     and reduction transforms still apply, they are semantic) and commits
-    it; a failed or refused one runs the loop serially.  No checkpoint
-    is taken: nothing speculative runs.  ``doall_options`` go to
+    it; a failed or refused one runs the loop serially, on ``compiled``
+    (``program`` compiled here when None).  No checkpoint is taken:
+    nothing speculative runs.  ``doall_options`` go to
     :func:`~repro.runtime.doall.run_doall`; pricing the doall is the
     caller's (see :func:`price_doall`).  Returns the doall run and its
     commit counts, both None after a serial run.
@@ -186,7 +191,9 @@ def run_with_verdict(
         wall.doall += time.perf_counter() - tick
         finalize = commit(run, env, plan, sim, times, wall)
     else:
-        roll_back(program, loop, env, values, step, sim, times, wall)
+        if compiled is None:
+            compiled = compile_program(program)
+        roll_back(compiled, loop, env, values, step, sim, times, wall)
     env.set_scalar(loop.var, exit_value)
     return run, finalize
 
@@ -262,6 +269,9 @@ class PipelineOutcome:
     stats: dict[str, float] = field(default_factory=dict)
     #: the (recyclable) shadow marker of the last attempt.
     marker: ShadowMarker | None = None
+    #: the program compiled for the serial re-runs (recyclable like
+    #: ``marker``); None when nothing rolled back and none was passed in.
+    compiled: CompiledProgram | None = None
     #: measured wall-clock phase durations, summed over the attempts.
     wall: WallClock = field(default_factory=WallClock)
     #: first recorded engine-fallback reason across the attempts (set
@@ -319,6 +329,9 @@ class SpeculationPipeline:
     recycles a previous run's shadow buffers (reset in place instead of
     reallocating seven numpy arrays per tested array); it must have been
     built for the same tested arrays and sizes, else a fresh one is made.
+    Rollbacks re-run on the compiled serial executor: ``compiled``
+    recycles a previous run's compiled program, else the program is
+    compiled at the first rollback and reused by every later one.
     """
 
     def __init__(
@@ -344,6 +357,7 @@ class SpeculationPipeline:
         profiles=None,
         loop_key: str | None = None,
         recovery: bool = False,
+        compiled: CompiledProgram | None = None,
     ):
         if granularity is Granularity.PROCESSOR and schedule is not ScheduleKind.BLOCK:
             raise SpeculationError(
@@ -374,6 +388,7 @@ class SpeculationPipeline:
         self.loop_key = loop_key
         self.recovery = recovery
         self._marker = marker
+        self._compiled = compiled
 
     # -- pieces --------------------------------------------------------------
 
@@ -388,6 +403,12 @@ class SpeculationPipeline:
                 shadow_sizes, granularity=self.granularity, eager=eager_enabled
             )
         return marker
+
+    def _compiled_program(self) -> CompiledProgram:
+        """The program compiled for serial re-runs, at first use."""
+        if self._compiled is None:
+            self._compiled = compile_program(self.program)
+        return self._compiled
 
     @staticmethod
     def _touched_elements(marker: ShadowMarker) -> int:
@@ -571,8 +592,9 @@ class SpeculationPipeline:
                     if recovery_decision is None:
                         recovery_decision = reason
                 rec = roll_back(
-                    self.program, self.loop, env, strip_values, step, sim,
-                    times, wall, checkpoint=checkpoint, distance=distance,
+                    self._compiled_program(), self.loop, env, strip_values,
+                    step, sim, times, wall,
+                    checkpoint=checkpoint, distance=distance,
                 )
                 if rec is not None:
                     recovery_cycles += rec.time.total
@@ -631,6 +653,7 @@ class SpeculationPipeline:
             strips=strips,
             stats=stats,
             marker=marker,
+            compiled=self._compiled,
             wall=wall,
             fallback_reason=fallback_reason,
             engine_used=engine_used,

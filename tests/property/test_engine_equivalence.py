@@ -3,12 +3,14 @@
 Random execution-safe programs (guarded arithmetic, in-range subscripts)
 must produce identical final state AND identical operation counts under
 every serial-capable engine — the compiled fast path may not drift
-semantically.  The same holds for the speculative engines: random
-workloads with reductions, passing and failing speculations (including
-eager aborts) must yield the same LRPD outcome, shadow counts, simulated
-times and memory state for every registered engine (the vectorized
-whole-block engine commits in bulk or falls back, the ``auto`` planner
-delegates to its pick — all bit-identical by contract).
+semantically — and the compiled re-run a rollback performs must equal
+walker iterations from any mid-loop state.  The same holds for the
+speculative engines: random workloads with reductions, passing and
+failing speculations (including eager aborts) must yield the same LRPD
+outcome, shadow counts, simulated times and memory state for every
+registered engine (the vectorized whole-block engine commits in bulk
+or falls back, the ``auto`` planner delegates to its pick — all
+bit-identical by contract).
 
 The engine lists are drawn from the registry, so a newly registered
 engine joins these suites automatically.
@@ -23,13 +25,14 @@ from hypothesis import strategies as st
 from repro.analysis.instrument import build_plan
 from repro.dsl.parser import parse
 from repro.interp.compiled import compile_program
+from repro.interp.costs import CostCounter
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import Interpreter, find_target_loop
 from repro.machine.costmodel import fx80
 from repro.machine.schedule import ScheduleKind
 from repro.machine.simulator import DoallSimulator
 from repro.runtime.engines import registry
-from repro.runtime.serial import run_serial
+from repro.runtime.serial import rerun_values_serially, run_serial
 from repro.runtime.speculative import SpeculationPipeline
 
 #: every registered engine that runs without forking real worker
@@ -129,6 +132,64 @@ def test_engines_agree(c1, c2, c3, c4, inner, idx, gate):
         assert reference.loop_time == other.loop_time
         assert reference.setup_time == other.setup_time
         assert reference.teardown_time == other.teardown_time
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    c1=constants, c2=constants, c3=constants, c4=constants,
+    inner=st.integers(min_value=0, max_value=4),
+    idx=indices, gate=gates,
+    prefix=st.integers(min_value=0, max_value=N),
+    first=st.integers(min_value=1, max_value=N),
+    step=st.integers(min_value=1, max_value=3),
+    count=st.integers(min_value=0, max_value=N),
+)
+def test_compiled_rerun_matches_the_walker_from_mid_loop(
+    c1, c2, c3, c4, inner, idx, gate, prefix, first, step, count
+):
+    """A rollback re-runs an arbitrary strip from a mid-loop state: the
+    compiled re-run must leave exactly the walker's state and costs."""
+    source = TEMPLATE.format(c1=repr(abs(c1)), c2=repr(abs(c2)),
+                             c3=repr(abs(c3)), c4=repr(abs(c4)), inner=inner)
+    inputs = {
+        "n": N,
+        "idx": np.array(idx),
+        "gate": np.array(gate),
+        "a": np.linspace(-1.0, 1.0, SIZE),
+        "b": np.linspace(2.0, 3.0, SIZE),
+        "y": 0.25,
+    }
+    program = parse(source)
+    loop = find_target_loop(program)
+    env = Environment(program, inputs)
+    walker = Interpreter(program, env, value_based=False)
+    for value in range(1, prefix + 1):
+        walker.exec_iteration(loop, value)
+    values = list(range(first, N + 1, step))[:count]
+    model = fx80()
+
+    env_walk = env.copy()
+    cost = CostCounter()
+    walker = Interpreter(program, env_walk, value_based=False, cost=cost)
+    for value in values:
+        walker.exec_iteration(loop, value)
+    if values:
+        env_walk.set_scalar(loop.var, values[-1] + step)
+    walk_costs = list(cost.iteration_costs)
+    walk_cycles = sum(model.iteration_cycles(c) for c in walk_costs)
+
+    env_compiled = env.copy()
+    cycles, costs = rerun_values_serially(
+        compile_program(program), loop, env_compiled, values, step, model
+    )
+
+    assert env_compiled.scalars == env_walk.scalars
+    for name in env_walk.arrays:
+        np.testing.assert_array_equal(
+            env_compiled.arrays[name], env_walk.arrays[name]
+        )
+    assert costs == walk_costs
+    assert cycles == walk_cycles
 
 
 SPEC_N = 10

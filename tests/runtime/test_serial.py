@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.dsl.parser import parse
+from repro.interp.compiled import compile_program
 from repro.interp.interpreter import Interpreter, find_target_loop
 from repro.machine.costmodel import CostModel
 from repro.runtime.serial import (
@@ -76,7 +77,7 @@ class TestRerunSerially:
         start, stop, step = interp.eval_loop_bounds(loop)
         values = loop_iteration_values(start, stop, step)
         time, iteration_costs = rerun_values_serially(
-            interp, loop, values, step, CostModel()
+            compile_program(program), loop, env, values, step, CostModel()
         )
         assert time > 0.0
         assert len(iteration_costs) == 8
