@@ -19,7 +19,7 @@ import numpy as np
 from conftest import calibrate, run_once, write_bench_json
 from repro.machine.costmodel import fx80
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
-from repro.runtime.profile import LoopProfileStore, kernel_cache
+from repro.runtime.profile import LoopProfileStore
 from repro.workloads.bdna import build_bdna
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
@@ -59,10 +59,6 @@ def _timed_run(runner, engine):
 
 
 def test_auto_feedback_mixed_workload(benchmark, artifact):
-    # A warm jit ledger would widen the candidate set on Numba hosts;
-    # this benchmark compares the portable engines only.
-    kernel_cache.clear()
-
     def measure():
         calibration_s = calibrate()
         results = {}

@@ -223,105 +223,6 @@ def test_engine_speed_vectorized(benchmark, artifact):
     assert ratio >= 3.0, f"vectorized speculative engine only {ratio:.2f}x"
 
 
-def test_engine_speed_jit(benchmark, artifact):
-    """The jit engine: native marking kernels when Numba is present.
-
-    Parity is unconditional: with Numba absent the engine must degrade
-    to ``vectorized`` (reason recorded) and stay bit-identical; with
-    Numba present the committed jit block must clear the >=10x target
-    over the compiled engine on BDNA n=800.  The ``jit_speculative``
-    entry is written either way, so the regression gate tracks whichever
-    path this host takes.  Timing is best-of-5, so the one-off kernel
-    compile (reported separately as ``jit_compile_s``) never lands in
-    the measured wall.
-    """
-    import repro.core.jit_kernels as jit_kernels
-    from repro.runtime.profile import kernel_cache
-
-    workload = build_bdna(n=800)
-    program = parse(workload.source)
-    plan = build_plan(program)
-    loop = plan.loop
-    before, _after = split_at_loop(program, loop)
-
-    def speculative(engine: str):
-        env = Environment(program, workload.inputs)
-        Interpreter(program, env, value_based=False).exec_block(before)
-        sim = DoallSimulator(fx80().with_procs(PROCS), ScheduleKind.BLOCK)
-        outcome = SpeculationPipeline(
-            program, loop, env, plan, sim, engine=engine
-        ).run()
-        return outcome, _env_state(env)
-
-    kernels = jit_kernels.load_kernels()
-    native = kernels is not None and kernels.native
-    kernel_cache.clear()
-    try:
-
-        def measure():
-            calibration_s = calibrate()
-            fast = min_wall(lambda: speculative("compiled"), rounds=5)
-            vec = min_wall(lambda: speculative("vectorized"), rounds=5)
-            jit = min_wall(lambda: speculative("jit"), rounds=5)
-            return calibration_s, fast, vec, jit
-
-        (
-            calibration_s,
-            (fast_wall, (fast_out, fast_env)),
-            (vec_wall, (vec_out, vec_env)),
-            (jit_wall, (jit_out, jit_env)),
-        ) = run_once(benchmark, measure)
-    finally:
-        # A warm ledger would flip the auto planner's pick below.
-        kernel_cache.clear()
-    ratio = fast_wall / jit_wall
-
-    write_bench_json(
-        "engine_speed",
-        calibration_s,
-        {"jit_speculative": jit_wall},
-        extra={"compiled_over_jit": ratio, "numba_native": native},
-        merge=True,
-    )
-
-    artifact(
-        "engine_speed_jit",
-        "\n".join(
-            [
-                f"Execution engines on BDNA n=800 "
-                f"(speculative protocol, p={PROCS}, best of 5)",
-                f"compiled engine  : {fast_wall * 1000:8.1f} ms wall clock",
-                f"vectorized engine: {vec_wall * 1000:8.1f} ms wall clock",
-                f"jit engine       : {jit_wall * 1000:8.1f} ms wall clock "
-                f"({ratio:.2f}x over compiled)",
-                f"native kernels   : {native}",
-                f"engine used      : {jit_out.run.engine_used} "
-                f"(fallback: {jit_out.run.fallback_reason})",
-            ]
-        ),
-    )
-
-    if native:
-        # Numba present: the block must commit on the jit engine...
-        assert jit_out.run.engine_used == "jit"
-        assert jit_out.run.fallback_reason is None
-    else:
-        # ...Numba absent: graceful degradation one step down the chain.
-        assert jit_out.run.engine_used == "vectorized"
-        assert "native kernels unavailable" in jit_out.run.fallback_reason
-    # Bit-identical protocol regardless of which path executed.
-    assert jit_out.result == vec_out.result == fast_out.result
-    assert jit_out.result.passed
-    assert jit_out.times == vec_out.times == fast_out.times
-    assert jit_out.stats == vec_out.stats
-    assert jit_out.run.iteration_costs == vec_out.run.iteration_costs
-    _assert_same_env(jit_env, vec_env)
-    _assert_same_env(jit_env, fast_env)
-    # The perf target only exists where the native kernels do.
-    if native:
-        assert ratio >= 10.0, f"jit speculative engine only {ratio:.2f}x"
-
-
 def test_engine_speed_auto(benchmark, artifact):
     """The auto planner matches explicit vectorized on BDNA n=800.
 
@@ -332,18 +233,11 @@ def test_engine_speed_auto(benchmark, artifact):
     tolerance of the explicit request.  Everything else is the standard
     parity contract.
     """
-    from repro.runtime.profile import kernel_cache
-
     workload = build_bdna(n=800)
     program = parse(workload.source)
     plan = build_plan(program)
     loop = plan.loop
     before, _after = split_at_loop(program, loop)
-
-    # A warm jit ledger (e.g. from the jit benchmark above) would make
-    # the planner prefer `jit` on Numba hosts; this test pins the
-    # cold-start decision.
-    kernel_cache.clear()
 
     def speculative(engine: str):
         env = Environment(program, workload.inputs)

@@ -9,9 +9,9 @@ registry lookups), and the worker-pool backends likewise compare
 ``backend`` names only inside :mod:`repro.runtime.parallel_backend`
 (``validate_backend`` / ``make_worker_pool``).  The profile-store
 refactor did the same for the runtime's cross-run memory: the verdict
-cache (``ScheduleCache``) and the jit warm-up ledger (``KernelCache``)
-are internal components of :mod:`repro.runtime.profile` and may only be
-constructed there — everyone else goes through a
+cache (``ScheduleCache``) is an internal component of
+:mod:`repro.runtime.profile` and may only be constructed there —
+everyone else goes through a
 :class:`~repro.runtime.profile.LoopProfileStore`.  This check keeps it
 that way: it fails when a string-literal engine or backend comparison,
 or a direct cache construction, reappears anywhere else under
@@ -49,10 +49,9 @@ BACKEND_PATTERNS = (
     re.compile(r"""["'][A-Za-z_]+["']\s*[=!]=\s*\w*\.?backend\b"""),
 )
 
-#: direct construction of the profile store's internal caches.
+#: direct construction of the profile store's internal cache.
 CACHE_PATTERNS = (
     re.compile(r"\bScheduleCache\s*\("),
-    re.compile(r"\bKernelCache\s*\("),
 )
 
 #: the DOACROSS recovery tier dispatched by enum/string comparison.  The
@@ -138,7 +137,7 @@ ALLOWED = pathlib.PurePosixPath("repro/runtime/engines")
 #: the one module backend names may be compared/declared in.
 BACKEND_ALLOWED = pathlib.PurePosixPath("repro/runtime/parallel_backend.py")
 
-#: the one package the schedule/kernel caches may be constructed in.
+#: the one package the schedule cache may be constructed in.
 CACHE_ALLOWED = pathlib.PurePosixPath("repro/runtime/profile")
 
 #: the package held to the stricter no-direct-construction rule.
@@ -241,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             f"'doacross_recovery' may not be compared against outside "
             f"repro/runtime/engines (route through the orchestrator's "
             f"strategy table and recovery_engine()), "
-            f"ScheduleCache/KernelCache may only "
+            f"ScheduleCache may only "
             f"be constructed inside repro/runtime/profile (go through "
             f"LoopProfileStore), repro/service may not construct "
             f"engines, pools or arenas directly, and Program "

@@ -108,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="doall iteration executor (walk = reference tree walker, "
         "parallel = real worker processes with shared-memory shadows, "
         "vectorized = whole-block NumPy lowering with bulk marking; "
-        "jit = the vectorized lanes with Numba-compiled native kernels, "
-        "falling back to vectorized when Numba is absent; "
         "classifier-rejected loops fall back to compiled; auto = "
         "per-loop adaptive selection)",
     )

@@ -424,7 +424,6 @@ class ShadowArray:
         ops: np.ndarray,
         granules: np.ndarray,
         rank: np.ndarray,
-        kernels=None,
     ) -> "_StagedBatch":
         """Stage a multi-granule access stream without committing it.
 
@@ -434,13 +433,6 @@ class ShadowArray:
         ascending (stable) order is the serial marking order.  The staged
         result is bit-identical to replaying the stream through
         ``mark_write``/``mark_read``/``mark_redux`` in rank order.
-
-        ``kernels`` (a :class:`repro.core.jit_kernels.KernelSet`) routes
-        the sorted stream through the native segment-replay kernel
-        instead of the numpy segment arithmetic; marking is independent
-        per element, so the rank-ordered per-element replay is the very
-        definition of the staged semantics — both paths are
-        property-tested identical.
         """
         n = int(idx.size)
         if n == 0:
@@ -462,10 +454,6 @@ class ShadowArray:
         kind_s = kinds[perm]
         ops_s = ops[perm]
         gran_s = granules[perm]
-        if kernels is not None:
-            return self._stage_sorted_native(
-                kernels, idx_s, kind_s, ops_s, gran_s
-            )
 
         seg_start = np.empty(n, dtype=bool)
         seg_start[0] = True
@@ -571,43 +559,6 @@ class ShadowArray:
             would_fail=would_fail,
         )
 
-    def _stage_sorted_native(
-        self, kernels, idx_s, kind_s, ops_s, gran_s
-    ) -> "_StagedBatch":
-        """Stage a pre-sorted stream through the native replay kernel."""
-        n = int(idx_s.size)
-        out_uniq = np.empty(n, dtype=np.int64)
-        out_w = np.empty(n, dtype=np.bool_)
-        out_r = np.empty(n, dtype=np.bool_)
-        out_np = np.empty(n, dtype=np.bool_)
-        out_nx = np.empty(n, dtype=np.bool_)
-        out_rt = np.empty(n, dtype=np.bool_)
-        out_mw = np.empty(n, dtype=np.bool_)
-        out_op = np.empty(n, dtype=np.int8)
-        out_lw = np.empty(n, dtype=np.int64)
-        out_minw = np.empty(n, dtype=np.int64)
-        out_maxer = np.empty(n, dtype=np.int64)
-        out_miner = np.empty(n, dtype=np.int64)
-        u, tw_delta, would_fail = kernels.stage_stream(
-            idx_s, kind_s, ops_s, gran_s,
-            self.w, self.r, self.np_, self.nx, self.redux_touched,
-            self.multi_w, self._redux_op, self._last_write,
-            self._min_write, self._max_exposed_read, self._min_exposed_read,
-            self.eager,
-            out_uniq, out_w, out_r, out_np, out_nx, out_rt, out_mw,
-            out_op, out_lw, out_minw, out_maxer, out_miner,
-        )
-        u = int(u)
-        return _StagedBatch(
-            uniq=out_uniq[:u],
-            w=out_w[:u], r=out_r[:u], np_=out_np[:u], nx=out_nx[:u],
-            redux_touched=out_rt[:u], multi_w=out_mw[:u],
-            redux_op=out_op[:u], last_write=out_lw[:u],
-            min_write=out_minw[:u], max_exposed_read=out_maxer[:u],
-            min_exposed_read=out_miner[:u],
-            tw_delta=int(tw_delta), would_fail=bool(would_fail),
-        )
-
     def replay_scalar_vec(
         self,
         kinds: np.ndarray,
@@ -635,7 +586,6 @@ class ShadowArray:
         ops: np.ndarray,
         granules: np.ndarray,
         rank: np.ndarray,
-        kernels=None,
     ) -> None:
         """Apply a multi-granule ordered access stream in bulk.
 
@@ -644,9 +594,7 @@ class ShadowArray:
         raised :class:`SpeculationFailed` identifies the same element the
         per-access path would have.
         """
-        staged = self.stage_stream_vec(
-            kinds, idx, ops, granules, rank, kernels=kernels
-        )
+        staged = self.stage_stream_vec(kinds, idx, ops, granules, rank)
         if staged.would_fail:
             self.replay_scalar_vec(kinds, idx, ops, granules, rank)
             raise AssertionError("staged stream failed but scalar replay passed")

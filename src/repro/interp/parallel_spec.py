@@ -112,10 +112,6 @@ class ShardTask:
     #: (falls back to compiled per-iteration on a bail) instead of the
     #: per-iteration compiled executor.
     whole_block: bool = False
-    #: hand the whole-block lowering the native kernel set
-    #: (:func:`repro.core.jit_kernels.load_kernels`, loaded in-worker);
-    #: silently runs without kernels when the set is unavailable.
-    use_jit: bool = False
 
 
 @dataclass
@@ -177,11 +173,6 @@ def execute_shard(
 
     fallback: str | None = None
     if task.whole_block:
-        kernels = None
-        if task.use_jit:
-            from repro.core.jit_kernels import load_kernels
-
-            kernels = load_kernels()
         positions = [p for proc in task.procs for p in task.assignment[proc]]
         decision = classify_loop(spec.program, spec.loop, spec)
         if decision:
@@ -197,7 +188,6 @@ def execute_shard(
                     marker=marker if task.marking else None,
                     privates=privates, partials=partials,
                     proc_envs=proc_envs, shared_env=env,
-                    kernels=kernels,
                 )
             except VectorizeBail as bail:
                 fallback = bail.reason

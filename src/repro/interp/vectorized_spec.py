@@ -194,7 +194,6 @@ def execute_vectorized_block(
     partials: Mapping[str, object],
     proc_envs,
     shared_env: Environment,
-    kernels=None,
     need_costs: bool = True,
 ) -> list[tuple[int, IterationCost]]:
     """Execute ``positions`` (a subset of the doall's iteration space, or
@@ -214,8 +213,7 @@ def execute_vectorized_block(
         scalar_reductions=scalar_reductions,
         live_out_scalars=live_out_scalars, value_based=value_based,
         marker=marker, privates=privates, partials=partials,
-        proc_envs=proc_envs, shared_env=shared_env, kernels=kernels,
-        need_costs=need_costs,
+        proc_envs=proc_envs, shared_env=shared_env, need_costs=need_costs,
     )
     return executor.run()
 
@@ -225,7 +223,7 @@ class _BlockExecutor:
         self, program, loop, *, values, positions, assignment, num_procs,
         tested, redux_refs, scalar_reductions, live_out_scalars,
         value_based, marker, privates, partials, proc_envs, shared_env,
-        kernels=None, need_costs=True,
+        need_costs=True,
     ):
         self.need_costs = need_costs
         self.program = program
@@ -243,9 +241,6 @@ class _BlockExecutor:
         self.partials = partials
         self.proc_envs = proc_envs
         self.shared_env = shared_env
-        #: optional native kernel set (the ``jit`` engine passes one);
-        #: None keeps every hot path on the numpy lowering.
-        self.kernels = kernels
 
         self.kinds = {decl.name: decl.kind for decl in program.decls}
         self.sizes = {
@@ -1080,9 +1075,7 @@ class _BlockExecutor:
                 lengths,
             )
             shadow = self.marker.shadows[name]
-            batch = shadow.stage_stream_vec(
-                kinds, idx, ops, grans, rank, kernels=self.kernels
-            )
+            batch = shadow.stage_stream_vec(kinds, idx, ops, grans, rank)
             would_fail = would_fail or batch.would_fail
             staged.append((shadow, batch))
         if would_fail:
@@ -1126,16 +1119,6 @@ class _BlockExecutor:
             procs = self.proc_of[rows]
             ks = self.k_of[rows]
             order = np.lexsort((seqs, ks, idx0, procs))
-            if self.kernels is not None and copies._rows is None:
-                # Native scatter: every sorted event is written, the
-                # last write per (proc, element) wins — the same final
-                # state the group-last winner scatter leaves.
-                self.kernels.scatter_writes(
-                    procs[order], idx0[order], vals[order],
-                    self.positions[rows[order]],
-                    copies.data, copies.wstamp,
-                )
-                continue
             group_last = np.ones(order.size, dtype=bool)
             group_last[:-1] = (procs[order][1:] != procs[order][:-1]) | (
                 idx0[order][1:] != idx0[order][:-1]
@@ -1168,14 +1151,7 @@ class _BlockExecutor:
             acc = np.full(
                 (self.num_procs, size), REDUCTION_IDENTITY[op], dtype=np.float64
             )
-            if self.kernels is not None:
-                # Native fold in the very same sorted order np.*.at
-                # accumulates in — bit-identical float results.
-                self.kernels.fold_partials(
-                    procs, elems, vals.astype(np.float64, copy=False),
-                    acc, OP_CODES[op],
-                )
-            elif op == "+":
+            if op == "+":
                 np.add.at(acc, (procs, elems), vals)
             else:
                 np.multiply.at(acc, (procs, elems), vals)

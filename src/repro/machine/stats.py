@@ -67,7 +67,6 @@ class WallClock:
     analysis: float = 0.0
     commit: float = 0.0       # reduction merge + copy-out + scalar fold
     rollback: float = 0.0     # restore + serial re-execution
-    jit_compile: float = 0.0  # jit engine's native-kernel warm-up
     signature: float = 0.0    # pattern-signature digest (schedule reuse)
 
     def total(self) -> float:

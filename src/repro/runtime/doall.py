@@ -61,9 +61,6 @@ class DoallRun:
     #: the ``auto`` planner's recorded rationale (None for explicit
     #: engine requests).
     engine_decision: str | None = None
-    #: seconds the jit engine spent warming cold native kernels before
-    #: this doall (0.0 on warm keys and for every other engine).
-    jit_compile_s: float = 0.0
 
     @property
     def num_iterations(self) -> int:

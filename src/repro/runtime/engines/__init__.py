@@ -1,8 +1,8 @@
 """Pluggable execution engines behind one registry seam.
 
 Importing this package registers the built-in engines (walk, compiled,
-vectorized, jit, parallel, auto); everything else resolves engines through
-:data:`registry` — by name for dispatch, by capability for decisions
+vectorized, parallel, auto, doacross); everything else resolves engines
+through :data:`registry` — by name for dispatch, by capability for decisions
 (worker pools, serial substitution, CLI choices, test
 parameterization).  Adding an engine is one module: subclass
 :class:`ExecutionEngine`, declare :class:`EngineCaps`, call
@@ -34,7 +34,6 @@ from repro.runtime.engines.registry import EngineRegistry, registry
 from repro.runtime.engines import compiled as _compiled  # noqa: E402,F401
 from repro.runtime.engines import walk as _walk  # noqa: E402,F401
 from repro.runtime.engines import vectorized as _vectorized  # noqa: E402,F401
-from repro.runtime.engines import jit as _jit  # noqa: E402,F401
 from repro.runtime.engines import parallel as _parallel  # noqa: E402,F401
 from repro.runtime.engines import auto as _auto  # noqa: E402,F401
 from repro.runtime.engines import doacross as _doacross  # noqa: E402,F401
@@ -48,7 +47,7 @@ DEFAULT_ENGINE = "compiled"
 #: didactic ordering of the generated docs table (registry order is
 #: alphabetical; the docs read reference-first).
 _DOC_ORDER = (
-    "walk", "compiled", "vectorized", "jit", "parallel", "auto", "doacross"
+    "walk", "compiled", "vectorized", "parallel", "auto", "doacross"
 )
 
 

@@ -108,11 +108,8 @@ class EnginePlanner:
 
         Planners are excluded (no recursion); worker-requiring engines
         need a worker request and a worker request needs a sharding
-        engine; classifier-gated engines need an accepting classifier;
-        the jit engine additionally needs loadable, warm kernels (a cold
-        pick would charge compile time to the loop being planned).
+        engine; classifier-gated engines need an accepting classifier.
         """
-        from repro.runtime.engines.jit import jit_ready
         from repro.runtime.engines.registry import registry
 
         names = []
@@ -125,8 +122,6 @@ class EnginePlanner:
             if workers is not None and not caps.supports_workers:
                 continue
             if caps.needs_classifier and not classifier_ok:
-                continue
-            if engine.name == "jit" and not jit_ready():
                 continue
             names.append(engine.name)
         return sorted(names)
@@ -190,18 +185,6 @@ class EnginePlanner:
                     if workers is not None
                     else ""
                 )
-                # Imported lazily: the engines package imports this
-                # module before the engine modules exist.
-                from repro.runtime.engines.jit import jit_ready
-
-                if jit_ready():
-                    return EnginePlan(
-                        "jit",
-                        f"classifier accepted whole-block lowering and "
-                        f"native kernels are warm (trip count "
-                        f"{trip_count}, body {body_size} "
-                        f"statements{sharding})",
-                    )
                 return EnginePlan(
                     "vectorized",
                     f"classifier accepted whole-block lowering "

@@ -10,11 +10,10 @@ strip configuration picks its sizer.
 
 Everything the runner remembers across invocations lives in one
 :class:`~repro.runtime.profile.LoopProfileStore`: cached LRPD verdicts
-(schedule reuse, OCEAN-style loops), per-run observations (the
-feedback the ``auto`` planner consumes), and the jit warm-up ledger.
-Every ``run()`` leaves one observation behind; loops whose recorded
-history says speculation keeps failing are refused up front when a
-planner engine is in charge.
+(schedule reuse, OCEAN-style loops) and per-run observations (the
+feedback the ``auto`` planner consumes).  Every ``run()`` leaves one
+observation behind; loops whose recorded history says speculation keeps
+failing are refused up front when a planner engine is in charge.
 """
 
 from __future__ import annotations

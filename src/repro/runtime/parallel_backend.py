@@ -517,8 +517,6 @@ def run_parallel_doall(
     workers: int | None = None,
     pool: WorkerPool | ThreadWorkerPool | None = None,
     whole_block: bool = False,
-    use_jit: bool = False,
-    engine_label: str | None = None,
     backend: str = DEFAULT_BACKEND,
 ) -> DoallRun:
     """Execute the marked doall on real worker processes.
@@ -536,11 +534,6 @@ def run_parallel_doall(
     whole-block lowering (in-shard bails degrade to compiled inside the
     worker and surface on the merged run's fallback fields) instead of
     the per-iteration compiled engine.
-
-    ``use_jit`` additionally hands the in-worker whole-block executor
-    the native kernel set (silently absent-safe), and ``engine_label``
-    names the engine the merged run reports on full whole-block success
-    (default ``"vectorized"``).
 
     ``pool`` reuses a persistent :class:`WorkerPool` /
     :class:`ThreadWorkerPool` (the strip pipeline passes one); otherwise
@@ -589,14 +582,13 @@ def run_parallel_doall(
                 ),
                 eager=eager,
                 whole_block=whole_block,
-                use_jit=use_jit,
             )
             for chunk in pool.chunks
         ]
         results = pool.run(tasks)
         return _merge_results(
             pool, results, env, plan, num_procs, marker, values, assignment,
-            whole_block=whole_block, engine_label=engine_label,
+            whole_block=whole_block,
         )
     finally:
         if owned_pool is not None:
@@ -613,7 +605,6 @@ def _merge_results(
     values: list[int],
     assignment: list[list[int]],
     whole_block: bool = False,
-    engine_label: str | None = None,
 ) -> DoallRun:
     """Fold the per-worker shard results into one :class:`DoallRun`.
 
@@ -685,7 +676,7 @@ def _merge_results(
         aborted=any(result.aborted for result in results),
         executed_iterations=sum(result.executed for result in results),
         engine_used=(
-            (engine_label or "vectorized")
+            "vectorized"
             if whole_block
             and not any(result.fallback for result in results)
             else "compiled"

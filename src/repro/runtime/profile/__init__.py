@@ -5,14 +5,12 @@ the scattered per-run telemetry with one store (paper §IV.D motivates
 the verdict-reuse half):
 
 * :class:`LoopProfileStore` — verdict cache (LRU, entry+byte bounded),
-  per-loop observation rings, jit warm-up ledger, optional JSON
-  persistence.
+  per-loop observation rings, optional JSON persistence.
 * :class:`RunObservation` — one run as the profile remembers it.
 * :func:`pattern_signature` — the access-pattern digest keying reuse.
 
-Construction of the internal :class:`ScheduleCache` / :class:`KernelCache`
-components outside this package is rejected by
-``benchmarks/check_engine_dispatch.py``.
+Construction of the internal :class:`ScheduleCache` outside this
+package is rejected by ``benchmarks/check_engine_dispatch.py``.
 """
 
 from repro.runtime.profile.observation import RunObservation
@@ -22,13 +20,11 @@ from repro.runtime.profile.store import (
     DEFAULT_MAX_ENTRIES,
     DEFAULT_RING,
     FAILURE_RATE_THRESHOLD,
-    KernelCache,
     LoopProfileStore,
     MIN_VETO_ATTEMPTS,
     RECOVERY_MIN_FRACTION,
     ScheduleCache,
     VerdictEntry,
-    kernel_cache,
 )
 
 __all__ = [
@@ -36,13 +32,11 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_RING",
     "FAILURE_RATE_THRESHOLD",
-    "KernelCache",
     "LoopProfileStore",
     "MIN_VETO_ATTEMPTS",
     "RECOVERY_MIN_FRACTION",
     "RunObservation",
     "ScheduleCache",
     "VerdictEntry",
-    "kernel_cache",
     "pattern_signature",
 ]

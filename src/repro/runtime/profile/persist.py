@@ -3,8 +3,7 @@
 Versioned schema, atomic writes (temp file + ``os.replace``), and
 defensive loading: a missing, truncated, corrupt or foreign file never
 raises — the store simply starts empty and records why on
-``store.load_error``.  The jit warm-up ledger is intentionally excluded
-(compiled-code warmth does not survive the process).
+``store.load_error``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The unified per-loop profile store.
 
-One :class:`LoopProfileStore` replaces three previously disjoint memory
+One :class:`LoopProfileStore` replaces two previously disjoint memory
 layers:
 
 * the **schedule cache** (paper §IV.D): LRPD verdicts keyed by
@@ -8,15 +8,12 @@ layers:
   count *and* estimated bytes, with hit/miss/eviction counters;
 * the **run ledger**: a bounded ring of :class:`RunObservation` records
   per loop — engine, backend, measured wall clock, verdict, fallback
-  reason, strip size — the substrate of the feedback-driven planner;
-* the **jit warm-up ledger** (:class:`KernelCache`): which native-kernel
-  dispatch keys have been compiled this process.
+  reason, strip size — the substrate of the feedback-driven planner.
 
 Everything the runtime learns about a loop flows through this one
 object; ``benchmarks/check_engine_dispatch.py`` lints that
-:class:`ScheduleCache` / :class:`KernelCache` are never constructed
-outside this package, so no second copy of the state can quietly
-reappear at a call site.
+:class:`ScheduleCache` is never constructed outside this package, so no
+second copy of the state can quietly reappear at a call site.
 """
 
 from __future__ import annotations
@@ -142,50 +139,6 @@ class ScheduleCache:
         return len(self._entries)
 
 
-class KernelCache:
-    """Warm-up ledger for the jit engine's compiled-kernel dispatch keys.
-
-    The first run against a given ``(loop signature, dtype)`` key drives
-    every kernel once (:func:`repro.core.jit_kernels.warm_up`) so njit
-    compiles — or disk-cache-loads — the machine code before the doall
-    is timed; the measured seconds surface as ``jit_compile_s`` on the
-    run.  Repeat runs with a warm key pay nothing, and the planner
-    prefers the jit engine only once some key is warm.
-
-    Warmth is per-process state (compiled code dies with the process),
-    so the ledger is deliberately *not* persisted with the rest of the
-    profile store.
-    """
-
-    def __init__(self) -> None:
-        self._warm: dict[str, float] = {}
-
-    def ensure(self, key: str, kernels) -> float:
-        """Warm ``kernels`` for ``key`` if cold; the compile seconds paid."""
-        if key in self._warm:
-            return 0.0
-        from repro.core.jit_kernels import warm_up
-
-        seconds = warm_up(kernels)
-        self._warm[key] = seconds
-        return seconds
-
-    def any_warm(self) -> bool:
-        return bool(self._warm)
-
-    def clear(self) -> None:
-        self._warm.clear()
-
-    def __len__(self) -> int:
-        return len(self._warm)
-
-
-#: process-wide warm-up ledger (cleared by tests needing cold planners).
-#: Every :class:`LoopProfileStore` shares it by default — warmth is a
-#: property of the process, not of one store instance.
-kernel_cache = KernelCache()
-
-
 @dataclass
 class LoopProfile:
     """Everything remembered about one loop identity."""
@@ -220,12 +173,10 @@ class LoopProfileStore:
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_bytes: int = DEFAULT_MAX_BYTES,
         ring: int = DEFAULT_RING,
-        kernels: KernelCache | None = None,
     ):
         self.verdicts = ScheduleCache(max_entries=max_entries, max_bytes=max_bytes)
         self.ring = ring
         self._profiles: dict[str, LoopProfile] = {}
-        self.kernels = kernels if kernels is not None else kernel_cache
         self.path = path
         #: why the last :meth:`load` started empty (None on clean loads).
         self.load_error: str | None = None

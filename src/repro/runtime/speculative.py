@@ -553,7 +553,6 @@ class SpeculationPipeline:
                 loop_key=self.loop_key,
             )
             wall.doall += time.perf_counter() - tick
-            wall.jit_compile += run.jit_compile_s
             price_doall(sim, run, self.schedule, times)
 
             tick = time.perf_counter()

@@ -32,7 +32,7 @@ from repro.machine.stats import StripRecord, TimeBreakdown, WallClock
 from repro.runtime.profile.persist import result_from_json, result_to_json
 
 FORMAT = "repro-serve"
-VERSION = 1
+VERSION = 2
 
 #: request operations the daemon understands.
 OPS = ("ping", "run", "stats", "shutdown")

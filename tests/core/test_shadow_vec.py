@@ -17,6 +17,7 @@ from repro.core.shadow import (
     KIND_WRITE,
     OP_NAMES,
     ShadowArray,
+    fused_order,
 )
 from repro.errors import SpeculationFailed
 
@@ -109,8 +110,22 @@ def test_repeated_indices_within_one_call_count_tw_once_per_granule():
     assert bool(vec.multi_w[6])
 
 
+def _failure(mark) -> str | None:
+    """Run ``mark``; the :class:`SpeculationFailed` message it raised."""
+    try:
+        mark()
+    except SpeculationFailed as failed:
+        return str(failed)
+    return None
+
+
 def test_mixed_stream_vec_matches_scalar_replay():
+    """Random multi-granule streams, ranked in input order and in a
+    random permutation, lazy and eager: the bulk marking must leave the
+    state (and raise the failure) of the per-access marks replayed in
+    rank order."""
     rng = np.random.default_rng(7)
+    perm_rng = np.random.default_rng(11)
     for trial in range(40):
         stream = []
         for _ in range(rng.integers(1, 60)):
@@ -119,17 +134,23 @@ def test_mixed_stream_vec_matches_scalar_replay():
             granule = int(rng.integers(0, 6))
             op = int(rng.integers(1, 3)) if kind == KIND_REDUX else 0
             stream.append((kind, index, granule, op))
-        vec = ShadowArray("a", SIZE)
-        ref = ShadowArray("a", SIZE)
-        # Pre-existing marks exercise the pre-batch fallback paths.
-        vec.mark_write(0, 2)
-        ref.mark_write(0, 2)
-        vec.mark_redux(1, 0, "*")
-        ref.mark_redux(1, 0, "*")
-        kinds, idx, ops, grans, rank = _columns(stream)
-        vec.mark_stream_vec(kinds, idx, ops, grans, rank)
-        _replay(ref, stream)
-        _assert_same(vec, ref)
+        kinds, idx, ops, grans, in_order = _columns(stream)
+        permuted = perm_rng.permutation(len(stream)).astype(np.int64)
+        for rank in (in_order, permuted):
+            ranked = [stream[at] for at in np.argsort(rank, kind="stable")]
+            for eager in (False, True):
+                vec = ShadowArray("a", SIZE, eager=eager)
+                ref = ShadowArray("a", SIZE, eager=eager)
+                # Pre-existing marks exercise the pre-batch fallback paths.
+                vec.mark_write(0, 2)
+                ref.mark_write(0, 2)
+                vec.mark_redux(1, 0, "*")
+                ref.mark_redux(1, 0, "*")
+                got = _failure(
+                    lambda: vec.mark_stream_vec(kinds, idx, ops, grans, rank)
+                )
+                assert got == _failure(lambda: _replay(ref, ranked))
+                _assert_same(vec, ref)
 
 
 def test_rank_order_decides_covering_not_input_order():
@@ -191,3 +212,29 @@ def test_empty_stream_is_a_noop():
     vec.mark_write_vec([], [])
     assert vec.tw == 0
     assert not vec.w.any()
+
+
+class TestFusedOrder:
+    def test_matches_lexsort_on_small_keys(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 100, size=200)
+        rank = rng.integers(0, 50, size=200)
+        np.testing.assert_array_equal(
+            fused_order(idx, rank), np.lexsort((rank, idx))
+        )
+
+    def test_huge_sparse_indices_do_not_overflow(self):
+        # Shadow sizes >= 2**31 must not wrap the fused int32 key; the
+        # guard promotes to int64 (and to lexsort past 2**62).
+        idx = np.array([2**31 + 7, 3, 2**31 + 7, 2**33], dtype=np.int64)
+        rank = np.array([1, 0, 0, 2], dtype=np.int64)
+        np.testing.assert_array_equal(
+            fused_order(idx, rank), np.lexsort((rank, idx))
+        )
+
+    def test_key_space_past_int62_falls_back_to_lexsort(self):
+        idx = np.array([2**61, 0, 2**61], dtype=np.int64)
+        rank = np.array([5, 1, 2], dtype=np.int64)
+        np.testing.assert_array_equal(
+            fused_order(idx, rank), np.lexsort((rank, idx))
+        )

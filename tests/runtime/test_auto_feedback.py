@@ -24,17 +24,6 @@ from repro.workloads.ocean import build_ocean
 PROCS = 4
 
 
-@pytest.fixture(autouse=True)
-def _cold_kernel_cache():
-    """Keep the jit warm-up ledger cold so the eligible-engine set is
-    the same on every host (a warm ledger would add "jit" to it)."""
-    from repro.runtime.profile import kernel_cache
-
-    kernel_cache.clear()
-    yield
-    kernel_cache.clear()
-
-
 def _obs(engine, doall_s, *, passed=True, strip_size=None):
     return RunObservation(
         strategy="speculative", engine=engine, backend="fork",
@@ -329,6 +318,32 @@ class TestPersistenceAcrossRunners:
         report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
         assert report.engine_used == "compiled"
         assert "feedback" in report.engine_decisions[0][1]
+
+    def test_retired_engine_history_loads_and_is_never_picked(self, tmp_path):
+        """A profile file written when a since-retired engine ("jit")
+        was registered still loads cleanly, and the warm planner only
+        ever picks registered engines — even when the retired one holds
+        the best recorded mean."""
+        path = tmp_path / "profiles.json"
+        build = lambda: build_bdna(n=60)  # noqa: E731
+
+        writer = _runner(build, profiles=LoopProfileStore(path=path))
+        _seed(
+            writer,
+            _obs("jit", 0.0001), _obs("jit", 0.0001), _obs("jit", 0.0001),
+            _obs("compiled", 0.001), _obs("compiled", 0.001),
+        )
+        writer.profiles.save()
+
+        fresh = _runner(build, profiles=LoopProfileStore(path=path))
+        assert fresh.profiles.load_error is None
+        # One full epsilon period covers the exploit and explore picks.
+        for _ in range(EPSILON_PERIOD):
+            report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
+            (_key, reason), = report.engine_decisions
+            assert "feedback" in reason
+            assert report.engine_used != "jit"
+            assert "jit" not in reason
 
     def test_saved_verdict_reused_by_fresh_runner(self, tmp_path):
         path = tmp_path / "profiles.json"

@@ -11,7 +11,6 @@ loops are vetoed deterministically.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.analysis.dependence import DepKind, DistanceReport, ElementDistance
 from repro.core.shadow import Granularity
@@ -23,16 +22,6 @@ from repro.workloads.synthetic import build_partial_parallel, build_synthdoacros
 
 PROCS = 8
 DISTANCE = 16
-
-
-@pytest.fixture(autouse=True)
-def _cold_kernel_cache():
-    """Deterministic planner-eligible engine set on every host."""
-    from repro.runtime.profile import kernel_cache
-
-    kernel_cache.clear()
-    yield
-    kernel_cache.clear()
 
 
 def _runner(build=None) -> LoopRunner:

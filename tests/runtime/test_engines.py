@@ -41,18 +41,6 @@ from tests.runtime.test_vectorized_engine import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _cold_kernel_cache():
-    """Planner picks consult the jit warm-up ledger; keep it cold here
-    so the expected `vectorized` decisions hold even on hosts where
-    Numba is installed and another test warmed a kernel."""
-    from repro.runtime.profile import kernel_cache
-
-    kernel_cache.clear()
-    yield
-    kernel_cache.clear()
-
-
 class _StubEngine(ExecutionEngine):
     name = "stub"
     caps = EngineCaps(supports_serial=True)
@@ -66,8 +54,7 @@ class _StubEngine(ExecutionEngine):
 class TestRegistry:
     def test_builtin_engines_registered(self):
         assert engine_names() == [
-            "auto", "compiled", "doacross", "jit", "parallel", "vectorized",
-            "walk"
+            "auto", "compiled", "doacross", "parallel", "vectorized", "walk"
         ]
         assert DEFAULT_ENGINE in engine_names()
 
@@ -103,9 +90,6 @@ class TestRegistry:
         assert not get_engine("vectorized").caps.supports_serial
         assert get_engine("vectorized").caps.whole_block
         assert get_engine("vectorized").caps.needs_classifier
-        assert get_engine("jit").caps.whole_block
-        assert get_engine("jit").caps.needs_classifier
-        assert not get_engine("jit").caps.supports_serial
         assert get_engine("parallel").caps.requires_workers
         assert get_engine("auto").caps.planner
         assert get_engine("doacross").caps.recovery
@@ -119,9 +103,6 @@ class TestRegistry:
     def test_fallback_chain_walk(self):
         assert registry.fallback_chain("vectorized") == [
             "vectorized", "compiled"
-        ]
-        assert registry.fallback_chain("jit") == [
-            "jit", "vectorized", "compiled"
         ]
         assert registry.fallback_chain("compiled") == ["compiled"]
         assert registry.fallback_chain("auto") == ["auto", "compiled"]
@@ -143,7 +124,7 @@ class TestRegistry:
             assert registry.serial_engine_for(name) == (name, None)
 
     @pytest.mark.parametrize(
-        "name", ["parallel", "vectorized", "jit", "auto", "doacross"]
+        "name", ["parallel", "vectorized", "auto", "doacross"]
     )
     def test_serial_engine_for_substitutes(self, name):
         serial_name, reason = registry.serial_engine_for(name)
@@ -155,8 +136,6 @@ class TestRegistry:
         assert registry.needs_worker_pool("parallel", 2)
         assert registry.needs_worker_pool("vectorized", 2)
         assert not registry.needs_worker_pool("vectorized", None)
-        assert registry.needs_worker_pool("jit", 2)
-        assert not registry.needs_worker_pool("jit", None)
         assert registry.needs_worker_pool("auto", 2)
         assert not registry.needs_worker_pool("auto", None)
         assert not registry.needs_worker_pool("compiled", 3)
@@ -171,8 +150,10 @@ class TestRegistry:
 
 class TestValidation:
     def test_run_config_rejects_unknown_engine(self):
-        with pytest.raises(UnknownEngineError, match="registered engines"):
-            RunConfig(engine="turbo")
+        # "jit" is a retired engine: asking for it is an unknown name.
+        for name in ("turbo", "jit"):
+            with pytest.raises(UnknownEngineError, match="registered engines"):
+                RunConfig(engine=name)
 
     def test_run_config_accepts_registered_engines(self):
         for name in engine_names():

@@ -473,9 +473,9 @@ class TestPersistence:
         # load() with no path clears (documented: replace contents).
         assert len(store) == 0
 
-    def test_kernel_ledger_not_persisted(self, tmp_path):
-        """Compiled-code warmth dies with the process; the snapshot
-        must not carry the jit warm-up ledger."""
+    def test_snapshot_holds_only_verdicts_and_loops(self, tmp_path):
+        """The snapshot carries the schedule cache and the per-loop
+        profiles, and nothing else."""
         store = LoopProfileStore()
         self._seed(store)
         payload = store_to_json(store)

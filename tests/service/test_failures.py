@@ -91,10 +91,13 @@ class TestBadJobs:
         assert info.value.code == "unknown-workload"
 
     def test_unknown_engine(self, harness):
+        # "jit" is a retired engine: the daemon rejects it like any
+        # unknown name.
         with ReproClient(harness.socket_path, timeout=30.0) as client:
-            with pytest.raises(JobRejected) as info:
-                client.submit(JobRequest(workload="synthpass", engine="warp"))
-        assert info.value.code == "invalid-job"
+            for engine in ("warp", "jit"):
+                with pytest.raises(JobRejected) as info:
+                    client.submit(JobRequest(workload="synthpass", engine=engine))
+                assert info.value.code == "invalid-job"
 
     def test_unknown_machine(self, harness):
         with ReproClient(harness.socket_path, timeout=30.0) as client:
