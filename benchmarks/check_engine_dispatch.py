@@ -22,6 +22,9 @@ commit (``finalize_doall``) and the serial re-run are called only from
 shares.  And the runtime's serial executions run compiled: inside
 ``repro/runtime`` only the ``walk`` engine and the marking inspector
 drive the tree walker (``.exec_iteration(`` / ``.exec_block(``).
+Python source becomes code in one place: ``compile(`` and ``exec(``
+appear only in the serial code generator (:mod:`repro.interp.compiled`)
+and in the CLI's loader for Python kernel files.
 
 ::
 
@@ -131,6 +134,20 @@ WALKER_ALLOWED = (
     pathlib.PurePosixPath("repro/runtime/inspector.py"),
 )
 
+#: Python code built at run time.  The serial code generator
+#: (:mod:`repro.interp.compiled`) compiles text it generated itself, and
+#: the CLI's ``lift`` loader executes the kernel file a user names;
+#: nothing else may turn a string into code.  ``re.compile(`` and
+#: ``compile_program(`` do not match.
+CODEGEN_PATTERNS = (
+    re.compile(r"(?<![\w.])compile\s*\("),
+    re.compile(r"(?<![\w.])exec\s*\("),
+)
+CODEGEN_ALLOWED = (
+    pathlib.PurePosixPath("repro/interp/compiled.py"),
+    pathlib.PurePosixPath("repro/cli.py"),
+)
+
 #: the one place engine names may be compared/declared.
 ALLOWED = pathlib.PurePosixPath("repro/runtime/engines")
 
@@ -174,10 +191,11 @@ def lint(root: pathlib.Path) -> list[str]:
             WALKER_CHECKED in relative.parents
             and relative not in WALKER_ALLOWED
         )
+        check_codegen = relative not in CODEGEN_ALLOWED
         if not (
             check_engine or check_backend or check_cache
             or check_service or check_frontend or driver_patterns
-            or check_walker
+            or check_walker or check_codegen
         ):
             continue
         for lineno, line in enumerate(
@@ -205,9 +223,13 @@ def lint(root: pathlib.Path) -> list[str]:
             walker_hit = check_walker and any(
                 pattern.search(line) for pattern in WALKER_PATTERNS
             )
+            codegen_hit = check_codegen and any(
+                pattern.search(line) for pattern in CODEGEN_PATTERNS
+            )
             if (
                 engine_hit or backend_hit or cache_hit
                 or service_hit or frontend_hit or driver_hit or walker_hit
+                or codegen_hit
             ):
                 hits.append(f"{path}:{lineno}: {line.strip()}")
     return hits
@@ -251,7 +273,9 @@ def main(argv: list[str] | None = None) -> int:
             f"the one speculative driver (repro/runtime/speculative.py), "
             f"and inside repro/runtime only the walk engine and the "
             f"marking inspector may call .exec_iteration( or "
-            f".exec_block( (serial executions run compiled):",
+            f".exec_block( (serial executions run compiled), and "
+            f"compile( / exec( belong to the serial code generator "
+            f"(repro/interp/compiled.py) and the CLI's kernel loader:",
             file=sys.stderr,
         )
         for hit in hits:

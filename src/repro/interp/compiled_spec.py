@@ -1,6 +1,6 @@
 """Closure-compiled speculative execution engine.
 
-:mod:`repro.interp.compiled` gives serial runs a ~2x fast path but the
+:mod:`repro.interp.compiled` gives serial runs a fast path but the
 speculative doall — the very path the LRPD test's overhead claims are
 about — stayed on the tree walker.  This module compiles the *target
 loop body* into closures that carry the full speculative machinery:
@@ -57,7 +57,6 @@ from repro.dsl.ast_nodes import (
     walk_statements,
 )
 from repro.errors import InterpError
-from repro.interp.compiled import _FAST_BINOPS
 from repro.interp.costs import CostCounter
 from repro.interp.env import Environment
 from repro.interp.interpreter import (
@@ -67,6 +66,19 @@ from repro.interp.interpreter import (
     _apply_intrinsic,
 )
 from repro.interp.memory import MemoryModel
+
+#: the operators that need no walker semantics beyond Python's own.
+_FAST_BINOPS: dict[str, Callable] = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "==": lambda a, b: 1 if a == b else 0,
+    "/=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+}
 
 
 class _SpecRuntime:

@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (doall imports us)
     from repro.analysis.instrument import InstrumentationPlan
     from repro.core.shadow import ShadowMarker
     from repro.dsl.ast_nodes import Do, Program
+    from repro.interp.compiled import CompiledProgram
     from repro.interp.env import Environment
     from repro.machine.costmodel import CostModel
     from repro.machine.schedule import ScheduleKind
@@ -162,8 +163,14 @@ class ExecutionEngine(abc.ABC):
         loop: "Do",
         before: list,
         after: list,
+        *,
+        compiled: "CompiledProgram | None" = None,
     ) -> "SerialRun":
-        """Serial whole-program execution (engines with ``supports_serial``)."""
+        """Serial whole-program execution (engines with ``supports_serial``).
+
+        ``compiled`` is ``program`` already compiled; an engine that
+        runs compiled code uses it instead of compiling its own.
+        """
         raise UnknownEngineError(
             f"engine {self.name!r} has no serial executor"
         )

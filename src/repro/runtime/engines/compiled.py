@@ -4,11 +4,14 @@ The loop body is compiled once into per-node closures with direct
 structure binding and batched shadow marking
 (:mod:`repro.interp.compiled_spec`); iterations then run without tree
 dispatch.  Bit-identical to the walker on every observable — state,
-operation counts, shadow marks — just faster.
+operation counts, shadow marks — just faster.  Its serial executor runs
+the program as generated Python (:mod:`repro.interp.compiled`), on the
+caller's compiled program when it passes one.
 """
 
 from __future__ import annotations
 
+from repro.interp.compiled import CompiledProgram, compile_program
 from repro.interp.compiled_spec import CompiledSpecLoop
 from repro.interp.costs import CostCounter
 from repro.interp.interpreter import Interpreter
@@ -52,11 +55,11 @@ class CompiledEngine(EmulatedEngine):
         return proc_cost, execute
 
     def execute_serial(
-        self, program, env, model: CostModel, loop, before, after
+        self, program, env, model: CostModel, loop, before, after, *,
+        compiled: CompiledProgram | None = None,
     ) -> SerialRun:
-        from repro.interp.compiled import compile_program
-
-        compiled = compile_program(program)
+        if compiled is None:
+            compiled = compile_program(program)
 
         setup_cost = CostCounter()
         compiled.run_statements(before, env, setup_cost)

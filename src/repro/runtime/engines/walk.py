@@ -53,7 +53,8 @@ class WalkEngine(EmulatedEngine):
         return proc_cost, execute
 
     def execute_serial(
-        self, program, env, model: CostModel, loop, before, after
+        self, program, env, model: CostModel, loop, before, after, *,
+        compiled=None,
     ) -> SerialRun:
         setup_cost = CostCounter()
         interp = Interpreter(program, env, cost=setup_cost, value_based=False)

@@ -18,6 +18,7 @@ failing are refused up front when a planner engine is in charge.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +27,7 @@ from repro.analysis.instrument import InstrumentationPlan, build_plan
 from repro.core.outcomes import TestMode
 from repro.core.shadow import Granularity
 from repro.dsl.ast_nodes import Program
+from repro.dsl.printer import stmt_to_source
 from repro.errors import SpeculationError
 from repro.interp.compiled import CompiledProgram, compile_program
 from repro.interp.costs import CostCounter
@@ -151,6 +153,13 @@ class LoopRunner:
         self.plan: InstrumentationPlan = build_plan(program, trip_count=trip_count)
         self.loop = self.plan.loop
         self._before, self._after = split_at_loop(program, self.loop)
+        # The profile key names the loop and pins its text: two programs
+        # that share a name and a loop line share no verdicts unless
+        # their loops print alike.
+        digest = hashlib.sha256(stmt_to_source(self.loop).encode()).hexdigest()
+        self._key = (
+            f"{program.name}:{self.loop.var}@{self.loop.line}#{digest[:16]}"
+        )
         #: the runner's cross-invocation memory; pass a shared (possibly
         #: persistent) store to carry verdicts and planner feedback
         #: across runners and processes.
@@ -197,7 +206,7 @@ class LoopRunner:
         if key not in self._serial_runs:
             self._serial_runs[key] = run_serial(
                 self.program, self.inputs, model, loop=self.loop,
-                engine=serial_name,
+                engine=serial_name, compiled=self._compiled_program(),
             )
         cached = self._serial_runs[key]
         if substitution is None:
@@ -672,4 +681,4 @@ class LoopRunner:
         return [(self._loop_key(), reason) for reason in reasons if reason is not None]
 
     def _loop_key(self) -> str:
-        return f"{self.program.name}:{self.loop.var}@{self.loop.line}"
+        return self._key

@@ -33,6 +33,7 @@ def run_serial(
     *,
     loop: Do | None = None,
     engine: str = "walk",
+    compiled: CompiledProgram | None = None,
 ) -> SerialRun:
     """Execute the program serially, timing the target loop per iteration.
 
@@ -41,6 +42,8 @@ def run_serial(
     for doall-only engines (e.g. ``parallel`` → ``compiled``), recording
     the substitution on the returned run.  All serial-capable engines
     produce identical state and identical operation counts.
+    ``compiled`` is ``program`` already compiled, for an engine that runs
+    compiled code to reuse instead of compiling its own.
     """
     # Imported lazily: the engine modules import SerialRun helpers from
     # this module.
@@ -54,7 +57,9 @@ def run_serial(
         loop = find_target_loop(program)
     before, after = split_at_loop(program, loop)
 
-    run = executor.execute_serial(program, env, model, loop, before, after)
+    run = executor.execute_serial(
+        program, env, model, loop, before, after, compiled=compiled
+    )
     run.engine_substitution = substitution
     return run
 

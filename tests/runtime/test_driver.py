@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 
 from repro.dsl.parser import parse
+from repro.interp import compiled as interp_compiled
 from repro.interp.compiled import compile_program
 from repro.interp.interpreter import Interpreter
 from repro.machine.costmodel import fx80
 from repro.runtime import orchestrator, speculative
+from repro.runtime.engines import compiled as compiled_engine
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.serial import run_serial
 from repro.workloads.bdna import build_bdna
@@ -253,7 +255,9 @@ def test_serial_paths_do_not_tree_walk(path, monkeypatch):
         ), name
 
 
-def test_a_strip_mined_run_compiles_its_serial_program_once(monkeypatch):
+@pytest.fixture
+def compiles(monkeypatch):
+    """Every ``compile_program`` call the runtime makes, in order."""
     calls = []
 
     def counting(program):
@@ -262,15 +266,39 @@ def test_a_strip_mined_run_compiles_its_serial_program_once(monkeypatch):
 
     monkeypatch.setattr(speculative, "compile_program", counting)
     monkeypatch.setattr(orchestrator, "compile_program", counting)
+    monkeypatch.setattr(compiled_engine, "compile_program", counting)
+    monkeypatch.setattr(interp_compiled, "compile_program", counting)
+    return calls
+
+
+def test_a_strip_mined_run_compiles_its_serial_program_once(compiles):
     workload = build_partial_parallel(n=120)
     runner = LoopRunner(workload.program(), workload.inputs)
+    runner.serial_run(MODEL)
     config = RunConfig(model=MODEL, strip_size=8)
     report = runner.run(Strategy.STRIPPED, config)
     assert report.stats["strips_failed"] >= 2
-    assert len(calls) == 1
+    assert len(compiles) == 1
     # The runner keeps the compiled program for its later runs.
     runner.run(Strategy.STRIPPED, config)
-    assert len(calls) == 1
+    assert len(compiles) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [build_spice, lambda: build_dependence_injected(n=64, dep_fraction=0.5)],
+    ids=["spice", "dep_injected"],
+)
+def test_the_serial_reference_runs_on_the_runners_compiled_program(
+    compiles, make
+):
+    """The reference, the entry block and any rollback share one
+    compilation of the program."""
+    workload = make()
+    runner = LoopRunner(workload.program(), workload.inputs)
+    runner.serial_run(MODEL)
+    runner.run(Strategy.SPECULATIVE, RunConfig(model=MODEL))
+    assert len(compiles) == 1
 
 
 class TestOneDriverLint:
@@ -329,4 +357,24 @@ class TestOneDriverLint:
         assert hits == [
             "runtime/engines/doacross.py:1: serial.exec_iteration (loop, value)",
             "runtime/orchestrator.py:1: interp.exec_block(self._before)",
+        ]
+
+    def test_compile_and_exec_outside_the_generator_are_flagged(self, tmp_path):
+        (tmp_path / "interp").mkdir()
+        (tmp_path / "runtime").mkdir()
+        allowed = 'exec(compile(text, "<generated>", "exec"), namespace)\n'
+        (tmp_path / "interp" / "compiled.py").write_text(allowed)
+        (tmp_path / "cli.py").write_text(allowed)
+        (tmp_path / "runtime" / "serial.py").write_text(
+            "pattern = re.compile(r'x')\n"
+            "program = compile_program(source)\n"
+            "interp.exec_block(body)\n"
+            "exec (source, namespace)\n"
+            "code = compile(source, name, 'exec')\n"
+        )
+        hits = [hit.removeprefix(f"{tmp_path}/") for hit in self._lint()(tmp_path)]
+        assert hits == [
+            "runtime/serial.py:3: interp.exec_block(body)",
+            "runtime/serial.py:4: exec (source, namespace)",
+            "runtime/serial.py:5: code = compile(source, name, 'exec')",
         ]

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.outcomes import ArrayTestDetail, LrpdResult, TestMode
+from repro.dsl.parser import parse
+from repro.machine.costmodel import fx80
+from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.profile import (
     DEFAULT_RING,
     FAILURE_RATE_THRESHOLD,
@@ -24,6 +28,7 @@ from repro.runtime.profile import (
     ScheduleCache,
 )
 from repro.runtime.profile.persist import FORMAT, VERSION, store_to_json
+from repro.runtime.serial import run_serial
 
 
 def _result(arrays=()):
@@ -512,3 +517,59 @@ class TestSignatureMemo:
         first = env.content_digest("idx")
         env.store("idx", 1, 99)
         assert env.content_digest("idx") != first
+
+
+#: two programs with one name and one loop line: A's loop is a
+#: permutation scatter (LRPD passes), B's also reads ``a`` in place, a
+#: cross-iteration flow dependence under the same permutation.
+_SCATTER = (
+    "program p\n  integer i, n\n  integer idx(8)\n  real a(8), b(8)\n"
+    "  a(1) = a(1)\n  do i = 1, n\n    {body}\n  end do\nend\n"
+)
+_PROGRAM_A = _SCATTER.format(body="a(idx(i)) = b(i)")
+_PROGRAM_B = _SCATTER.format(body="a(idx(i)) = a(i) * 2.0 + b(i)")
+_SCATTER_INPUTS = {
+    "n": 8,
+    "idx": np.array([2, 3, 4, 5, 6, 7, 8, 1]),
+    "a": np.arange(8.0),
+    "b": np.arange(1.0, 9.0),
+}
+
+
+class TestLoopIdentity:
+    """A shared store keys a loop by its name, line *and* text."""
+
+    @staticmethod
+    def _runner(source, store):
+        return LoopRunner(parse(source), _SCATTER_INPUTS, profiles=store)
+
+    def test_programs_sharing_a_name_and_line_share_no_verdict(self):
+        store = LoopProfileStore()
+        config = RunConfig(model=fx80().with_procs(4), use_schedule_cache=True)
+        first = self._runner(_PROGRAM_A, store).run(Strategy.SPECULATIVE, config)
+        assert first.passed
+        report = self._runner(_PROGRAM_B, store).run(Strategy.SPECULATIVE, config)
+        oracle = run_serial(parse(_PROGRAM_B), _SCATTER_INPUTS, fx80(), engine="walk")
+        assert not report.reused_schedule
+        assert not report.passed
+        np.testing.assert_array_equal(report.env.arrays["a"], oracle.env.arrays["a"])
+
+    def test_the_key_follows_the_loop_text_not_the_program(self):
+        store = LoopProfileStore()
+        a = self._runner(_PROGRAM_A, store)
+        assert a._loop_key() == self._runner(_PROGRAM_A, store)._loop_key()
+        assert a._loop_key() != self._runner(_PROGRAM_B, store)._loop_key()
+        assert a._loop_key().startswith("p:i@6#")
+
+    def test_old_keys_still_load_and_match_nothing(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        old = LoopProfileStore(path=path)
+        old.record_verdict("p:i@6", "sig", _result(("a",)))
+        old.observe("p:i@6", _obs("compiled", 0.01))
+        old.save()
+        store = LoopProfileStore(path=path)
+        assert store.load_error is None
+        assert store.loop_keys() == ["p:i@6"]
+        runner = self._runner(_PROGRAM_A, store)
+        assert runner._loop_key() != "p:i@6"
+        assert store.observations(runner._loop_key()) == []
