@@ -58,8 +58,10 @@ CACHE_PATTERNS = (
 )
 
 #: the DOACROSS recovery tier dispatched by enum/string comparison.  The
-#: orchestrator routes strategies through a dict and the recovery engine
-#: is resolved by capability (``recovery_engine()``); a scattered
+#: orchestrator routes strategies through a dict, and the tier is armed
+#: in one place (``LoopRunner._run_speculative``: by the strategy or by
+#: the planner's history checks) and run by the speculative driver's
+#: ``recovery_decision``/``roll_back``; a scattered
 #: ``== Strategy.DOACROSS_RECOVERY`` or ``== "doacross_recovery"``
 #: comparison would fork that decision.  Dict keys and ``.value``
 #: assignments deliberately do not match — only comparisons do.
@@ -261,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             f"make_worker_pool), Strategy.DOACROSS_RECOVERY and "
             f"'doacross_recovery' may not be compared against outside "
             f"repro/runtime/engines (route through the orchestrator's "
-            f"strategy table and recovery_engine()), "
+            f"strategy table), "
             f"ScheduleCache may only "
             f"be constructed inside repro/runtime/profile (go through "
             f"LoopProfileStore), repro/service may not construct "

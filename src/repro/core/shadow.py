@@ -219,203 +219,16 @@ class ShadowArray:
         if self.eager:
             self._eager_check(index)
 
-    # -- batched marking ----------------------------------------------------
-    #
-    # The compiled speculative engine buffers one iteration's accesses and
-    # flushes them here in a handful of vectorized numpy operations instead
-    # of one Python call per access.  The whole batch shares one granule,
-    # so the only ordering that matters *within* the batch is the
-    # read-covered-by-earlier-write relation, which the staging computes
-    # from the buffered positions.
-
-    def stage_stream_batch(
-        self,
-        kinds: np.ndarray,
-        idx: np.ndarray,
-        ops: np.ndarray,
-        pos: np.ndarray,
-        granule: int,
-    ) -> "_StagedBatch":
-        """Compute the post-batch shadow state without committing it.
-
-        ``kinds``/``idx``/``ops``/``pos`` are parallel int arrays of one
-        granule's access stream: the access kind (``KIND_*``), the 0-based
-        element, the reduction-operator code (0 for plain accesses) and the
-        stream position (any strictly ordered key).  Staging before
-        committing lets the marker check the eager predicate across *all*
-        tested arrays before mutating any of them.
-        """
-        uniq, inv = np.unique(idx, return_inverse=True)
-        u = uniq.size
-
-        w_sel = kinds == KIND_WRITE
-        r_sel = kinds == KIND_READ
-        x_sel = kinds == KIND_REDUX
-        w_inv = inv[w_sel]
-        r_inv = inv[r_sel]
-        x_inv = inv[x_sel]
-
-        pre_last = self._last_write[uniq]
-
-        has_w = np.zeros(u, dtype=bool)
-        has_w[w_inv] = True
-        # position of the first in-batch write per element (covers reads
-        # that come later in the stream; same granule by construction).
-        first_wpos = np.full(u, np.iinfo(np.int64).max, dtype=np.int64)
-        if w_inv.size:
-            np.minimum.at(first_wpos, w_inv, pos[w_sel])
-
-        has_r = np.zeros(u, dtype=bool)
-        has_r[r_inv] = True
-        has_exposed = np.zeros(u, dtype=bool)
-        if r_inv.size:
-            covered = (pre_last[r_inv] == granule) | (first_wpos[r_inv] < pos[r_sel])
-            has_exposed[r_inv[~covered]] = True
-
-        has_x = np.zeros(u, dtype=bool)
-        has_x[x_inv] = True
-        pre_op = self._redux_op[uniq].astype(np.int64)
-        first_op = np.zeros(u, dtype=np.int64)
-        conflict = np.zeros(u, dtype=bool)
-        if x_inv.size:
-            # First-op-wins: assign ops in descending position order so the
-            # earliest access's operator lands last.
-            order = np.argsort(pos[x_sel], kind="stable")[::-1]
-            first_op[x_inv[order]] = ops[x_sel][order]
-            resolved = np.where(pre_op != 0, pre_op, first_op)
-            conflict[x_inv[ops[x_sel] != resolved[x_inv]]] = True
-
-        new_writer = has_w & (pre_last != granule)
-        wx = has_w | has_x
-        ex = has_exposed | has_x
-        pre_min = self._min_write[uniq]
-        pre_max = self._max_exposed_read[uniq]
-        pre_min_read = self._min_exposed_read[uniq]
-        new_nx = self.nx[uniq] | has_w | has_r | conflict
-        new_redux = self.redux_touched[uniq] | has_x
-        new_min = np.where(wx, np.minimum(pre_min, granule), pre_min)
-        new_max = np.where(ex, np.maximum(pre_max, granule), pre_max)
-        new_min_read = np.where(
-            ex, np.minimum(pre_min_read, granule), pre_min_read
-        )
-
-        would_fail = bool(
-            self.eager and np.any(new_nx & ((new_max > new_min) | new_redux))
-        )
-        return _StagedBatch(
-            uniq=uniq,
-            w=self.w[uniq] | wx,
-            r=self.r[uniq] | has_r | has_x,
-            np_=self.np_[uniq] | ex,
-            nx=new_nx,
-            redux_touched=new_redux,
-            multi_w=self.multi_w[uniq] | (new_writer & (pre_last != -1)),
-            redux_op=np.where(pre_op != 0, pre_op, first_op).astype(np.int8),
-            last_write=np.where(has_w, granule, pre_last),
-            min_write=new_min,
-            max_exposed_read=new_max,
-            min_exposed_read=new_min_read,
-            tw_delta=int(np.count_nonzero(new_writer)),
-            would_fail=would_fail,
-        )
-
-    def commit_batch(self, staged: "_StagedBatch") -> None:
-        """Apply a staged batch to the shadow state."""
-        uniq = staged.uniq
-        self.w[uniq] = staged.w
-        self.r[uniq] = staged.r
-        self.np_[uniq] = staged.np_
-        self.nx[uniq] = staged.nx
-        self.redux_touched[uniq] = staged.redux_touched
-        self.multi_w[uniq] = staged.multi_w
-        self._redux_op[uniq] = staged.redux_op
-        self._last_write[uniq] = staged.last_write
-        self._min_write[uniq] = staged.min_write
-        self._max_exposed_read[uniq] = staged.max_exposed_read
-        self._min_exposed_read[uniq] = staged.min_exposed_read
-        self.tw += staged.tw_delta
-
-    def mark_stream_batch(
-        self,
-        kinds: np.ndarray,
-        idx: np.ndarray,
-        ops: np.ndarray,
-        pos: np.ndarray,
-        granule: int,
-    ) -> None:
-        """Apply one granule's ordered access stream in bulk.
-
-        Equivalent to replaying ``mark_write``/``mark_read``/``mark_redux``
-        access-by-access.  Under eager detection a failing batch falls back
-        to the scalar replay so the raised :class:`SpeculationFailed`
-        identifies the same element the per-access path would have.
-        """
-        staged = self.stage_stream_batch(kinds, idx, ops, pos, granule)
-        if staged.would_fail:
-            self.replay_scalar(kinds, idx, ops, pos, granule)
-            raise AssertionError("staged batch failed but scalar replay passed")
-        self.commit_batch(staged)
-
-    def replay_scalar(
-        self,
-        kinds: np.ndarray,
-        idx: np.ndarray,
-        ops: np.ndarray,
-        pos: np.ndarray,
-        granule: int,
-    ) -> None:
-        """Replay a stream through the per-access marking operations."""
-        for at in np.argsort(pos, kind="stable"):
-            kind = kinds[at]
-            index = int(idx[at])
-            if kind == KIND_WRITE:
-                self.mark_write(index, granule)
-            elif kind == KIND_READ:
-                self.mark_read(index, granule)
-            else:
-                self.mark_redux(index, granule, OP_NAMES[int(ops[at])])
-
-    def mark_write_batch(self, indices, granule: int) -> None:
-        """Vectorized ``mark_write`` over an ordered index batch."""
-        idx = np.asarray(indices, dtype=np.int64)
-        self.mark_stream_batch(
-            np.full(idx.size, KIND_WRITE, dtype=np.int64),
-            idx,
-            np.zeros(idx.size, dtype=np.int64),
-            np.arange(idx.size, dtype=np.int64),
-            granule,
-        )
-
-    def mark_read_batch(self, indices, granule: int) -> None:
-        """Vectorized ``mark_read`` over an ordered index batch."""
-        idx = np.asarray(indices, dtype=np.int64)
-        self.mark_stream_batch(
-            np.full(idx.size, KIND_READ, dtype=np.int64),
-            idx,
-            np.zeros(idx.size, dtype=np.int64),
-            np.arange(idx.size, dtype=np.int64),
-            granule,
-        )
-
-    def mark_redux_batch(self, indices, granule: int, op: str) -> None:
-        """Vectorized ``mark_redux`` over an ordered index batch."""
-        idx = np.asarray(indices, dtype=np.int64)
-        self.mark_stream_batch(
-            np.full(idx.size, KIND_REDUX, dtype=np.int64),
-            idx,
-            np.full(idx.size, OP_CODES[op], dtype=np.int64),
-            np.arange(idx.size, dtype=np.int64),
-            granule,
-        )
-
-    # -- multi-granule vectorized marking -----------------------------------
+    # -- bulk marking -------------------------------------------------------
     #
     # The vectorized whole-block engine executes an entire doall block of
-    # iterations at once, so its access streams span *many* granules.  The
-    # staging below replays the per-access marking semantics with numpy
-    # segment arithmetic: accesses are sorted by (element, stream rank) and
-    # the sequential last-writer chain is reconstructed per element with a
-    # running maximum, which is all the per-access rules depend on.
+    # iterations at once, so its access streams span *many* granules; the
+    # marker's buffered flush hands over one granule's stream (every
+    # granule equal).  Both go through one staging, which replays the
+    # per-access marking semantics with numpy segment arithmetic:
+    # accesses are sorted by (element, stream rank) and the sequential
+    # last-writer chain is reconstructed per element with a running
+    # maximum, which is all the per-access rules depend on.
 
     def stage_stream_vec(
         self,
@@ -558,6 +371,22 @@ class ShadowArray:
             tw_delta=tw_delta,
             would_fail=would_fail,
         )
+
+    def commit_batch(self, staged: "_StagedBatch") -> None:
+        """Apply a staged batch to the shadow state."""
+        uniq = staged.uniq
+        self.w[uniq] = staged.w
+        self.r[uniq] = staged.r
+        self.np_[uniq] = staged.np_
+        self.nx[uniq] = staged.nx
+        self.redux_touched[uniq] = staged.redux_touched
+        self.multi_w[uniq] = staged.multi_w
+        self._redux_op[uniq] = staged.redux_op
+        self._last_write[uniq] = staged.last_write
+        self._min_write[uniq] = staged.min_write
+        self._max_exposed_read[uniq] = staged.max_exposed_read
+        self._min_exposed_read[uniq] = staged.min_exposed_read
+        self.tw += staged.tw_delta
 
     def replay_scalar_vec(
         self,
@@ -871,12 +700,10 @@ class ShadowMarker:
                 return total
             staged = []
             for name, buf in pending:
-                columns = np.asarray(buf, dtype=np.int64)
                 shadow = self.shadows[name]
-                staged.append((shadow, shadow.stage_stream_batch(
-                    columns[:, 1], columns[:, 2], columns[:, 3], columns[:, 0],
-                    granule,
-                )))
+                staged.append(
+                    (shadow, shadow.stage_stream_vec(*_granule_stream(buf, granule)))
+                )
             if any(batch.would_fail for _shadow, batch in staged):
                 self._replay_stream(pending, granule)
                 raise AssertionError(
@@ -896,11 +723,7 @@ class ShadowMarker:
                     else:
                         shadow.mark_redux(index, granule, OP_NAMES[opcode])
             else:
-                columns = np.asarray(buf, dtype=np.int64)
-                shadow.mark_stream_batch(
-                    columns[:, 1], columns[:, 2], columns[:, 3], columns[:, 0],
-                    granule,
-                )
+                shadow.mark_stream_vec(*_granule_stream(buf, granule))
         return total
 
     def _replay_stream(
@@ -936,3 +759,15 @@ class ShadowMarker:
     def on_redux(self, array: str, index: int, op: str) -> None:
         self.cost.marks += 1
         self.shadows[array].mark_redux(index - 1, self.granule, op)
+
+
+def _granule_stream(
+    buf: list[tuple[int, int, int, int]], granule: int
+) -> tuple[np.ndarray, ...]:
+    """One granule's buffered ``(position, kind, index0, opcode)`` list
+    as the ``(kinds, idx, ops, granules, rank)`` columns of
+    :meth:`ShadowArray.stage_stream_vec` — every granule equal, the
+    buffered positions as rank."""
+    columns = np.asarray(buf, dtype=np.int64)
+    granules = np.full(len(buf), granule, dtype=np.int64)
+    return columns[:, 1], columns[:, 2], columns[:, 3], granules, columns[:, 0]

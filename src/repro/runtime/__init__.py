@@ -7,13 +7,10 @@ and produces an :class:`repro.runtime.results.ExecutionReport` with the
 simulated time breakdown and speedup.
 """
 
-from repro.runtime.adaptive import AdaptivePolicy, AdaptiveRunner
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.results import ExecutionReport, SerialRun
 
 __all__ = [
-    "AdaptivePolicy",
-    "AdaptiveRunner",
     "ExecutionReport",
     "LoopRunner",
     "RunConfig",

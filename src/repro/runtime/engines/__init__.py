@@ -1,7 +1,7 @@
 """Pluggable execution engines behind one registry seam.
 
 Importing this package registers the built-in engines (walk, compiled,
-vectorized, parallel, auto, doacross); everything else resolves engines
+vectorized, parallel, auto); everything else resolves engines
 through :data:`registry` — by name for dispatch, by capability for decisions
 (worker pools, serial substitution, CLI choices, test
 parameterization).  Adding an engine is one module: subclass
@@ -36,7 +36,6 @@ from repro.runtime.engines import walk as _walk  # noqa: E402,F401
 from repro.runtime.engines import vectorized as _vectorized  # noqa: E402,F401
 from repro.runtime.engines import parallel as _parallel  # noqa: E402,F401
 from repro.runtime.engines import auto as _auto  # noqa: E402,F401
-from repro.runtime.engines import doacross as _doacross  # noqa: E402,F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.doall import DoallRun
@@ -46,9 +45,7 @@ DEFAULT_ENGINE = "compiled"
 
 #: didactic ordering of the generated docs table (registry order is
 #: alphabetical; the docs read reference-first).
-_DOC_ORDER = (
-    "walk", "compiled", "vectorized", "parallel", "auto", "doacross"
-)
+_DOC_ORDER = ("walk", "compiled", "vectorized", "parallel", "auto")
 
 
 def get_engine(name: str) -> ExecutionEngine:
@@ -75,19 +72,6 @@ def serial_engine_for(name: str) -> tuple[str, Optional[str]]:
 def needs_worker_pool(name: str, workers: Optional[int]) -> bool:
     """See :meth:`EngineRegistry.needs_worker_pool`."""
     return registry.needs_worker_pool(name, workers)
-
-
-def recovery_engine() -> ExecutionEngine:
-    """The registered post-failure recovery engine (``caps.recovery``).
-
-    The speculative pipeline resolves the recovery tier through this
-    capability query instead of naming an engine — the same no-string-
-    dispatch seam every other engine decision goes through.
-    """
-    for engine in registry.all():
-        if engine.caps.recovery:
-            return engine
-    raise UnknownEngineError("no engine declares the recovery capability")
 
 
 def execute_doall(ctx: DoallContext, name: str) -> "DoallRun":
@@ -159,7 +143,6 @@ __all__ = [
     "execute_doall",
     "get_engine",
     "needs_worker_pool",
-    "recovery_engine",
     "registry",
     "render_engine_table",
     "serial_engine_for",

@@ -38,8 +38,7 @@ class AutoEngine(ExecutionEngine):
         "pick safe)"
     )
 
-    def __init__(self, planner: Optional[EnginePlanner] = None):
-        self.planner = planner or EnginePlanner()
+    planner = EnginePlanner()
 
     def select(self, ctx: DoallContext) -> tuple[ExecutionEngine, Optional[str]]:
         plan = self.planner.plan(

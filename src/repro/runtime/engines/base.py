@@ -74,9 +74,6 @@ class EngineCaps:
     #: selects another engine per loop instead of executing itself
     #: (the ``auto`` planner).
     planner: bool = False
-    #: a post-failure recovery tier: re-executes a failed LRPD region as
-    #: a pipelined DOACROSS instead of running marked doalls itself.
-    recovery: bool = False
     #: next engine to try when this one declines a loop
     #: (:class:`EngineFallback`), and the serial substitute when
     #: ``supports_serial`` is false.  ``None`` terminates the chain.

@@ -67,17 +67,6 @@ class EnginePlan:
 class EnginePlanner:
     """Pick the execution engine for one (strip of a) loop."""
 
-    def __init__(
-        self,
-        min_vector_trip: int = MIN_VECTOR_TRIP,
-        *,
-        min_observations: int = MIN_OBSERVATIONS,
-        epsilon_period: int = EPSILON_PERIOD,
-    ):
-        self.min_vector_trip = min_vector_trip
-        self.min_observations = min_observations
-        self.epsilon_period = epsilon_period
-
     def plan(
         self,
         program: Program,
@@ -115,7 +104,7 @@ class EnginePlanner:
         names = []
         for engine in registry.all():
             caps = engine.caps
-            if caps.planner or caps.recovery:
+            if caps.planner:
                 continue
             if caps.requires_workers and workers is None:
                 continue
@@ -144,10 +133,10 @@ class EnginePlanner:
             if engine in eligible
         }
         total = sum(count for count, _ in stats.values())
-        if total < self.min_observations or not stats:
+        if total < MIN_OBSERVATIONS or not stats:
             return None
         decision_no = profiles.next_decision(loop_key)
-        if decision_no % self.epsilon_period == 0:
+        if decision_no % EPSILON_PERIOD == 0:
             target = min(
                 eligible, key=lambda e: (stats.get(e, (0, 0.0))[0], e)
             )
@@ -156,7 +145,7 @@ class EnginePlanner:
                 target,
                 f"feedback: exploring {target!r} (seen {count} of "
                 f"{total} timed runs; decision #{decision_no}, exploring "
-                f"every {self.epsilon_period}th)",
+                f"every {EPSILON_PERIOD}th)",
             )
         best = min(stats, key=lambda e: (stats[e][1], e))
         count, mean = stats[best]
@@ -179,7 +168,7 @@ class EnginePlanner:
     ) -> EnginePlan:
         body_size = len(loop.body)
         if decision:
-            if trip_count >= self.min_vector_trip:
+            if trip_count >= MIN_VECTOR_TRIP:
                 sharding = (
                     f", sharded across {workers} workers"
                     if workers is not None
@@ -194,7 +183,7 @@ class EnginePlanner:
             return EnginePlan(
                 "compiled",
                 f"classifier accepted but trip count {trip_count} is below "
-                f"the whole-block threshold ({self.min_vector_trip})",
+                f"the whole-block threshold ({MIN_VECTOR_TRIP})",
             )
         if workers is not None:
             return EnginePlan(

@@ -12,8 +12,11 @@ Everything the runner remembers across invocations lives in one
 :class:`~repro.runtime.profile.LoopProfileStore`: cached LRPD verdicts
 (schedule reuse, OCEAN-style loops) and per-run observations (the
 feedback the ``auto`` planner consumes).  Every ``run()`` leaves one
-observation behind; loops whose recorded history says speculation keeps
-failing are refused up front when a planner engine is in charge.
+observation behind.  :meth:`LoopRunner._run_speculative` is the one
+place that turns that history into a strategy: a cached verdict for the
+run's access pattern decides first; without a pattern signature, loops
+whose recorded history says speculation keeps failing are refused up
+front when a planner engine is in charge.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.runtime.profile import (
 from repro.runtime.results import ExecutionReport, SerialRun
 from repro.runtime.serial import run_serial
 from repro.runtime.speculative import (
+    AdaptiveStripSizer,
     FixedStripSizer,
     SpeculationPipeline,
     WholeLoop,
@@ -118,7 +122,7 @@ class RunConfig:
     #: (:class:`~repro.runtime.speculative.WholeLoop`).
     strip_size: int | None = None
     #: let the strip sizer grow on consecutive passes and shrink on
-    #: failures (:class:`repro.runtime.adaptive.AdaptiveStripSizer`);
+    #: failures (:class:`repro.runtime.speculative.AdaptiveStripSizer`);
     #: ``strip_size`` then seeds the initial size.
     adaptive_strip_sizing: bool = False
 
@@ -354,30 +358,17 @@ class LoopRunner:
             config.backend,
         ))
 
-    def _speculation_veto(self, config: RunConfig) -> str | None:
-        """The profile store's eager-serial verdict, for planner engines.
-
-        Only a planner (``engine="auto"``) may act on history — an
-        explicitly requested engine keeps the paper's optimistic
-        protocol, whatever the loop's record says.
-        """
-        if not get_engine(config.engine).caps.planner:
-            return None
-        return self.profiles.speculation_veto(self._loop_key())
-
-    def _arm_recovery(self, config: RunConfig) -> tuple[bool, str | None]:
-        """Whether a planner engine arms the DOACROSS recovery tier.
+    def _arm_recovery(self) -> tuple[bool, str | None]:
+        """Whether the planner arms the DOACROSS recovery tier.
 
         Explicit :attr:`Strategy.DOACROSS_RECOVERY` requests always arm;
-        this decides the *learned* arming for planner engines: only once
-        the loop's ring records at least one failed attempt (so a loop's
-        very first runs behave exactly as before this tier existed), and
-        only while the recovery history itself is not vetoed — a loop
-        whose measured distances keep coming back serial stops paying
-        the distance measurement and rolls back serially again.
+        this decides the *learned* arming: only once the loop's ring
+        records at least one failed attempt (so a loop's very first runs
+        behave exactly as before this tier existed), and only while the
+        recovery history itself is not vetoed — a loop whose measured
+        distances keep coming back serial stops paying the distance
+        measurement and rolls back serially again.
         """
-        if not get_engine(config.engine).caps.planner:
-            return False, None
         loop_key = self._loop_key()
         failures, _attempts = self.profiles.failure_stats(loop_key)
         if failures < 1:
@@ -390,13 +381,7 @@ class LoopRunner:
             f"failure(s), no recovery veto on record)"
         )
 
-    def _recovery_rescue(self, config: RunConfig) -> str | None:
-        """The profile store's rescue verdict, for planner engines only."""
-        if not get_engine(config.engine).caps.planner:
-            return None
-        return self.profiles.recovery_rescue(self._loop_key())
-
-    def _sizer(self, config: RunConfig):
+    def _sizer(self, config: RunConfig, planner: bool):
         """The strip policy ``config`` asks for, with the planner evidence
         behind an adaptive sizer: ``(sizer, warm-start reason,
         floor-reset reason)``."""
@@ -404,10 +389,6 @@ class LoopRunner:
             if config.strip_size is None:
                 return WholeLoop(), None, None
             return FixedStripSizer(config.strip_size), None, None
-        # Imported lazily: adaptive.py imports this module at top level.
-        from repro.runtime.adaptive import AdaptiveStripSizer
-
-        planner = get_engine(config.engine).caps.planner
         initial = config.strip_size or AdaptiveStripSizer.DEFAULT_INITIAL
         warm = warm_reason = floor_reason = None
         if config.strip_size is None and planner:
@@ -442,10 +423,18 @@ class LoopRunner:
         """Speculation, whole-loop or strip-mined (SPECULATIVE and
         STRIPPED alike; DOACROSS_RECOVERY arms ``recovery``).
 
-        Refusal, recovery arming, the speculation veto and its rescue
-        are decided here once; the sizer comes from the strip
-        configuration (fixed, adaptive, or :class:`WholeLoop` when none
-        is set).  Only whole-loop runs consult the schedule cache.
+        The one place a loop's history becomes a strategy, in this
+        order: a loop-carried scalar refuses statically; a whole-loop
+        run with the schedule cache on looks its access pattern up and,
+        on a hit, runs the cached verdict (a miss means the pattern was
+        never tested, so it speculates); only runs without a pattern
+        signature (cache off, strip-mined, or a pattern the inspector
+        slice cannot capture) are subject to the failure-rate veto and
+        its recovery rescue.  Only a planner (``engine="auto"``) acts on
+        the recorded history: an explicitly requested engine keeps the
+        paper's optimistic protocol, whatever the loop's record says.
+        The sizer comes from the strip configuration (fixed, adaptive,
+        or :class:`WholeLoop` when none is set).
         """
         sim = DoallSimulator(config.model, config.schedule)
         env = self._env_at_loop_entry()
@@ -454,28 +443,7 @@ class LoopRunner:
         if not self.plan.parallelizable_scalars:
             return self._refuse_serially(env, sim, config, reference)
 
-        decisions: list[str | None] = []
-        if not recovery:
-            recovery, armed_reason = self._arm_recovery(config)
-            decisions.append(armed_reason)
-
-        veto = self._speculation_veto(config)
-        if veto is not None:
-            rescue = self._recovery_rescue(config)
-            if rescue is None:
-                return self._refuse_serially(
-                    env, sim, config, reference, reason=veto
-                )
-            # The failure history says stop, but the recovery history
-            # says the failures themselves pipeline well: speculate
-            # anyway with recovery armed, recording both verdicts.
-            recovery = True
-            decisions.extend([veto, rescue])
-
-        sizer, warm_reason, floor_reason = self._sizer(config)
-        decisions.append(floor_reason)
-        whole = isinstance(sizer, WholeLoop)
-        pool = self._shared_pool(config, sim, env)
+        whole = config.strip_size is None and not config.adaptive_strip_sizing
         signature = None
         signature_s = 0.0
         if config.use_schedule_cache and whole:
@@ -488,11 +456,35 @@ class LoopRunner:
             if cached is not None:
                 report = self._run_from_cached(
                     env, cached, sim, config, reference,
-                    signature=signature, signature_s=signature_s, pool=pool,
+                    signature=signature, signature_s=signature_s,
+                    pool=self._shared_pool(config, sim, env),
                 )
                 self._finish(env)
                 return report
 
+        planner = get_engine(config.engine).caps.planner
+        decisions: list[str | None] = []
+        if planner and not recovery:
+            recovery, armed_reason = self._arm_recovery()
+            decisions.append(armed_reason)
+
+        veto = None
+        if planner and signature is None:
+            veto = self.profiles.speculation_veto(self._loop_key())
+        if veto is not None:
+            rescue = self.profiles.recovery_rescue(self._loop_key())
+            if rescue is None:
+                return self._refuse_serially(
+                    env, sim, config, reference, reason=veto
+                )
+            # The failure history says stop, but the recovery history
+            # says the failures themselves pipeline well: speculate
+            # anyway with recovery armed, recording both verdicts.
+            recovery = True
+            decisions.extend([veto, rescue])
+
+        sizer, warm_reason, floor_reason = self._sizer(config, planner)
+        decisions.append(floor_reason)
         outcome = SpeculationPipeline(
             self.program,
             self.loop,
@@ -509,7 +501,7 @@ class LoopRunner:
             engine=config.engine,
             marker=self._spec_marker,
             workers=config.workers,
-            pool=pool,
+            pool=self._shared_pool(config, sim, env),
             backend=config.backend,
             profiles=self.profiles,
             loop_key=self._loop_key(),

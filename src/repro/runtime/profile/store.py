@@ -283,29 +283,24 @@ class LoopProfileStore:
                 failures += 1
         return failures, attempts
 
-    def speculation_veto(
-        self,
-        loop_key: str,
-        *,
-        threshold: float = FAILURE_RATE_THRESHOLD,
-        min_attempts: int = MIN_VETO_ATTEMPTS,
-    ) -> str | None:
+    def speculation_veto(self, loop_key: str) -> str | None:
         """Evidence string when history says speculation is doomed.
 
         Returns None while the loop's recorded failure rate is below
-        ``threshold`` (or too few tested attempts exist).  The returned
+        :data:`FAILURE_RATE_THRESHOLD` (or fewer than
+        :data:`MIN_VETO_ATTEMPTS` tested attempts exist).  The returned
         string is the planner's recorded decision reason — it carries
         the evidence (counts and rate), not just the verdict.
         """
         failures, attempts = self.failure_stats(loop_key)
         verdict: str | None = None
-        if attempts >= min_attempts:
+        if attempts >= MIN_VETO_ATTEMPTS:
             rate = failures / attempts
-            if rate >= threshold:
+            if rate >= FAILURE_RATE_THRESHOLD:
                 verdict = (
                     f"feedback: historical failure rate {failures}/{attempts} "
-                    f"({rate:.0%}) >= {threshold:.0%} — skipping speculation "
-                    f"and running serially"
+                    f"({rate:.0%}) >= {FAILURE_RATE_THRESHOLD:.0%} — skipping "
+                    f"speculation and running serially"
                 )
         profile = self._profile(loop_key)
         if verdict is not None:
@@ -350,12 +345,7 @@ class LoopProfileStore:
             return 0, 0.0, 0.0
         return count, frac_total / count, sync_total / count
 
-    def recovery_rescue(
-        self,
-        loop_key: str,
-        *,
-        min_fraction: float = RECOVERY_MIN_FRACTION,
-    ) -> str | None:
+    def recovery_rescue(self, loop_key: str) -> str | None:
         """Evidence string when recovery history justifies speculating
         past a failure-rate veto (None otherwise).
 
@@ -365,36 +355,28 @@ class LoopProfileStore:
         to the pipelined re-execution.
         """
         count, mean, _sync = self.recovery_stats(loop_key)
-        if count < 1 or mean < min_fraction:
+        if count == 0 or mean < RECOVERY_MIN_FRACTION:
             return None
         return (
             f"feedback: DOACROSS recovery won back {mean:.0%} of the serial "
             f"re-run on average over {count} recovered run(s) (>= "
-            f"{min_fraction:.0%}) — speculating past the failure veto with "
-            f"recovery armed"
+            f"{RECOVERY_MIN_FRACTION:.0%}) — speculating past the failure "
+            f"veto with recovery armed"
         )
 
-    def recovery_veto(
-        self,
-        loop_key: str,
-        *,
-        min_fraction: float = RECOVERY_MIN_FRACTION,
-        min_attempts: int = 1,
-    ) -> str | None:
+    def recovery_veto(self, loop_key: str) -> str | None:
         """Evidence string when recovery history says the tier is not
         paying for itself on this loop (None while history is thin or
         good).  Measured distances ≤ 1 record a 0.0 recovered fraction,
         so a loop whose profiled distances are serial chains
         deterministically lands here."""
         count, mean, _sync = self.recovery_stats(loop_key)
-        if count < min_attempts:
-            return None
-        if mean >= min_fraction:
+        if count == 0 or mean >= RECOVERY_MIN_FRACTION:
             return None
         return (
             f"feedback: DOACROSS recovery won back only {mean:.0%} on "
-            f"average over {count} recovered run(s) (< {min_fraction:.0%}) "
-            f"— failed runs roll back serially"
+            f"average over {count} recovered run(s) (< "
+            f"{RECOVERY_MIN_FRACTION:.0%}) — failed runs roll back serially"
         )
 
     # -- persistence -------------------------------------------------------

@@ -12,7 +12,7 @@ overhead.
 A *sizer* cuts the iteration space into the attempts the driver makes.
 :class:`WholeLoop` is the paper's all-or-nothing protocol — one attempt
 over every iteration.  :class:`FixedStripSizer` and
-:class:`~repro.runtime.adaptive.AdaptiveStripSizer` strip-mine it: the
+:class:`AdaptiveStripSizer` strip-mine it: the
 strips are speculated, tested and *committed* one at a time, in serial
 order.  A failed strip rolls back and re-executes only itself serially
 before speculation resumes, so misspeculation loss is bounded by one
@@ -28,17 +28,22 @@ and refused runs are module functions: :func:`loop_values`,
 :func:`price_doall`, :func:`commit` and :func:`roll_back`, composed for
 runs whose verdict is already known by :func:`run_with_verdict`.
 Commit and rollback are timed only here.
+
+A failed attempt can re-execute as the DOACROSS recovery tier instead
+of a plain serial re-run: :func:`recovery_decision` reads the shadow
+stamps' measured dependence distances and :func:`roll_back` prices the
+re-run as a pipelined DOACROSS at that distance (see
+:class:`RecoveryRun`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.dependence import measure_shadow_distances
+from repro.analysis.dependence import DistanceReport, measure_shadow_distances
 from repro.analysis.instrument import InstrumentationPlan
 from repro.core.checkpoint import Checkpoint
 from repro.core.lrpd import StripAggregator, analyze_shadows
@@ -50,15 +55,11 @@ from repro.interp.compiled import CompiledProgram, compile_program
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.machine.schedule import ScheduleKind
-from repro.machine.simulator import DoallSimulator
+from repro.machine.simulator import DoacrossRecoveryTime, DoallSimulator
 from repro.machine.stats import StripRecord, TimeBreakdown, WallClock
 from repro.runtime.doall import DoallRun, FinalizeStats, finalize_doall, run_doall
-from repro.runtime.engines import needs_worker_pool, recovery_engine
+from repro.runtime.engines import needs_worker_pool
 from repro.runtime.serial import loop_iteration_values, rerun_values_serially
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.adaptive import AdaptiveStripSizer
-    from repro.runtime.engines.doacross import RecoveryRun
 
 # ---------------------------------------------------------------------------
 # Shared phases
@@ -114,6 +115,79 @@ def commit(
     return finalize
 
 
+@dataclass(frozen=True)
+class RecoveryRun:
+    """One failed region's serial re-run, priced as a pipelined DOACROSS.
+
+    The shadow stamps the failed LRPD test populated bound every
+    cross-iteration dependence distance the loop exercised; at a minimum
+    distance ``d > 1`` the re-run is priced as static chunks round-robin
+    over the processors with post/wait synchronization at ``d`` — the
+    Saltz/Mirchandaney discipline :mod:`repro.baselines.doacross` prices
+    for fully inspected loops.
+    """
+
+    time: DoacrossRecoveryTime
+    #: what the plain serial re-run of the same iterations costs — the
+    #: denominator of the recovered fraction.
+    serial_equivalent: float
+    iterations: int
+
+
+def recovery_decision(
+    report: DistanceReport, *, aborted: bool, granularity: Granularity
+) -> tuple[int | None, str]:
+    """Deterministic go/veto on one failed region's measured distances.
+
+    Returns ``(distance, reason)`` — ``distance`` is None on a veto.
+    Every condition is decided from the run the failure came from, so
+    the same failure always gets the same verdict.  Anti dependences are
+    covered by the old/new-copy renaming the DOACROSS discipline
+    assumes; multiply-written elements and distance-≤1 chains veto (the
+    region really is serial).
+    """
+    if granularity is not Granularity.ITERATION:
+        return None, (
+            "recovery veto: processor-wise shadow stamps are processor "
+            "ids, not iteration numbers — no iteration distances to "
+            "synchronize at"
+        )
+    if aborted:
+        return None, (
+            "recovery veto: eager detection aborted the attempt, so the "
+            "shadow stamps cover only a prefix of the iteration space"
+        )
+    d = report.min_distance
+    if d is None:
+        return None, (
+            "recovery veto: no cross-iteration dependence was measured "
+            "— the failure is an artifact the serial re-run resolves"
+        )
+    if d <= 1:
+        return None, (
+            f"recovery veto: measured min dependence distance {d} is a "
+            f"fully serial chain ({report.explain()})"
+        )
+    return d, (
+        f"recovery: pipelined DOACROSS at distance {d} over "
+        f"{report.num_granules} iteration(s) ({report.explain()})"
+    )
+
+
+def _plan_recovery(
+    marker: ShadowMarker, run: DoallRun, granularity: Granularity
+) -> tuple[int | None, str]:
+    """:func:`recovery_decision` for one failed attempt.
+
+    Must be called while the failed attempt's shadow stamps are still
+    intact (before the marker is reset for a next strip).
+    """
+    report = measure_shadow_distances(marker, run.num_iterations)
+    return recovery_decision(
+        report, aborted=run.aborted, granularity=granularity
+    )
+
+
 def roll_back(
     compiled: CompiledProgram,
     loop: Do,
@@ -132,9 +206,10 @@ def roll_back(
     timed and priced.
 
     The re-run executes once and is priced serially, or — with a
-    recovery ``distance`` — as a pipelined DOACROSS by the registry's
-    recovery engine, whose :class:`RecoveryRun` is returned (None for a
-    plain serial re-run).  The state is the same either way.
+    recovery ``distance`` — as a chunked pipelined DOACROSS over the
+    re-run's iteration costs, whose :class:`RecoveryRun` is returned
+    (None for a plain serial re-run).  The state is the same either way:
+    the re-run is serial, only its price differs.
     """
     tick = time.perf_counter()
     if checkpoint is not None:
@@ -147,8 +222,10 @@ def roll_back(
     if distance is None:
         times.serial_rerun = serial_time
     else:
-        rec = recovery_engine().recover(
-            costs, serial_time, sim, distance=distance
+        rec = RecoveryRun(
+            time=sim.doacross_time(costs, distance=distance),
+            serial_equivalent=serial_time,
+            iterations=len(costs),
         )
         times.doacross = rec.time.total
     wall.rollback += time.perf_counter() - tick
@@ -198,21 +275,6 @@ def run_with_verdict(
     return run, finalize
 
 
-def _plan_recovery(
-    marker: ShadowMarker, run: DoallRun, granularity: Granularity
-) -> tuple[int | None, str]:
-    """The recovery engine's go/veto for one failed attempt.
-
-    Must be called while the failed attempt's shadow stamps are still
-    intact (before the marker is reset for a next strip).  Returns
-    ``(distance, reason)`` with ``distance`` None on a veto.
-    """
-    report = measure_shadow_distances(marker, run.num_iterations)
-    return recovery_engine().recovery_decision(
-        report, aborted=run.aborted, granularity=granularity
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sizers
 # ---------------------------------------------------------------------------
@@ -244,6 +306,64 @@ class FixedStripSizer:
 
     def record(self, passed: bool) -> None:  # noqa: ARG002 - policy hook
         return None
+
+
+class AdaptiveStripSizer:
+    """Feedback-driven strip sizing for the strip-mined pipeline.
+
+    Grows the strip geometrically after :attr:`GROW_AFTER` consecutive
+    passing strips (per-strip overheads — checkpoint, barrier, analysis —
+    amortize better over bigger strips) and halves it after a failure
+    (smaller strips bound the serial re-execution loss around a
+    dependence cluster).  Sizes stay within ``[MIN_SIZE, MAX_SIZE]``.
+
+    Failures shrink no further than :attr:`floor` — normally
+    :attr:`MIN_SIZE`, but a warm-started sizer raises it to the
+    converged size history handed it (:meth:`raise_floor`): one unlucky
+    strip should not throw away a whole run's worth of convergence.
+    When the history behind that floor goes stale — the profile store
+    reports a lifted speculation veto — the caller must
+    :meth:`reset_floor`, otherwise the sizer can never shrink below the
+    stale warm size.
+    """
+
+    DEFAULT_INITIAL = 16
+    MIN_SIZE = 2
+    MAX_SIZE = 4096
+    GROW_AFTER = 2
+
+    def __init__(self, initial_size: int = DEFAULT_INITIAL):
+        if initial_size < 1:
+            raise ValueError("initial strip size must be >= 1")
+        self.size = self._clamp(initial_size)
+        self.floor = self.MIN_SIZE
+        self._pass_streak = 0
+
+    def _clamp(self, size: int) -> int:
+        return max(self.MIN_SIZE, min(size, self.MAX_SIZE))
+
+    def next_size(self) -> int:
+        return self.size
+
+    def raise_floor(self, size: int) -> None:
+        """Keep failures from shrinking below ``size`` (clamped to the
+        sizer's bounds) — the warm-start contract."""
+        self.floor = self._clamp(size)
+
+    def reset_floor(self) -> None:
+        """Drop the warm-start floor back to :attr:`MIN_SIZE` (stale
+        history)."""
+        self.floor = self.MIN_SIZE
+
+    def record(self, passed: bool) -> None:
+        if passed:
+            self._pass_streak += 1
+            if self._pass_streak >= self.GROW_AFTER:
+                self.size = min(self.size * 2, self.MAX_SIZE)
+                self._pass_streak = 0
+        else:
+            self.size = max(self.size // 2, self.floor)
+            self._pass_streak = 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
-"""Batched shadow marking ≡ per-access marking, and in-place reset.
+"""Buffered shadow marking ≡ per-access marking, and in-place reset.
 
-The compiled speculative engine flushes each granule's buffered access
-stream through the vectorized batch primitives; these must be
-observationally identical to replaying ``mark_write``/``mark_read``/
-``mark_redux`` access by access — including which element an eager
-failure reports.
+The compiled speculative engine buffers one granule's accesses and hands
+them to :meth:`ShadowMarker.flush_batch`.  From ``_BATCH_THRESHOLD``
+buffered marks on, the flush stages them in bulk through
+:meth:`ShadowArray.stage_stream_vec` (every granule equal, the buffered
+positions as rank) instead of marking access by access.  Either way the
+marker must end where per-access marking of the same stream ends: the
+same shadows, the same mark count, and under eager detection the same
+``(array, element)`` in :class:`SpeculationFailed`.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.shadow import (
+    _BATCH_THRESHOLD,
     KIND_READ,
     KIND_REDUX,
     KIND_WRITE,
     OP_CODES,
+    OP_NAMES,
     Granularity,
     ShadowArray,
     ShadowMarker,
@@ -39,104 +44,195 @@ def assert_same_shadow(a: ShadowArray, b: ShadowArray) -> None:
         )
 
 
-def random_stream(rng, length: int):
-    kinds = rng.integers(0, 3, size=length)
-    idx = rng.integers(0, SIZE, size=length)
-    ops = np.where(kinds == KIND_REDUX, rng.integers(1, 5, size=length), 0)
-    pos = np.arange(length, dtype=np.int64)
-    return kinds, idx, ops, pos
+def assert_same_marker(a: ShadowMarker, b: ShadowMarker) -> None:
+    assert a.cost.marks == b.cost.marks
+    assert a.shadows.keys() == b.shadows.keys()
+    for name in a.shadows:
+        assert_same_shadow(a.shadows[name], b.shadows[name])
+
+
+def markers(sizes: dict[str, int], *, eager: bool = False):
+    """A marker to flush into and a reference to mark access by access."""
+    return ShadowMarker(sizes, eager=eager), ShadowMarker(sizes, eager=eager)
+
+
+def buffered(accesses) -> dict[str, list]:
+    """``(array, kind, index0, opcode)`` accesses as flush buffers, with
+    one position sequence across arrays."""
+    buffers: dict[str, list] = {}
+    for pos, (name, kind, index, opcode) in enumerate(accesses):
+        buffers.setdefault(name, []).append((pos, kind, index, opcode))
+    return buffers
+
+
+def replay(marker: ShadowMarker, buffers: dict[str, list]) -> None:
+    """Per-access marking of the buffered stream, in position order,
+    through the observer calls (1-based indices)."""
+    stream = sorted(
+        (pos, name, kind, index, opcode)
+        for name, buf in buffers.items()
+        for pos, kind, index, opcode in buf
+    )
+    for _pos, name, kind, index, opcode in stream:
+        if kind == KIND_WRITE:
+            marker.on_write(name, index + 1)
+        elif kind == KIND_READ:
+            marker.on_read(name, index + 1)
+        else:
+            marker.on_redux(name, index + 1, OP_NAMES[opcode])
+
+
+def flush_and_replay(flushed, reference, buffers, granule: int):
+    flushed.set_granule(granule)
+    reference.set_granule(granule)
+    assert flushed.flush_batch(buffers) == sum(len(b) for b in buffers.values())
+    replay(reference, buffers)
+
+
+def random_accesses(rng, names, length: int):
+    accesses = []
+    for _ in range(length):
+        kind = int(rng.integers(0, 3))
+        opcode = int(rng.integers(1, 5)) if kind == KIND_REDUX else 0
+        accesses.append((
+            names[int(rng.integers(len(names)))], kind,
+            int(rng.integers(0, SIZE)), opcode,
+        ))
+    return accesses
 
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams_match_scalar_replay(self, seed):
+        # One array, no eager detection, every granule over the
+        # threshold: each flush takes the bulk branch.
         rng = np.random.default_rng(seed)
-        batch = ShadowArray("a", SIZE)
-        scalar = ShadowArray("a", SIZE)
-        for granule in range(5):
-            kinds, idx, ops, pos = random_stream(rng, int(rng.integers(1, 30)))
-            batch.mark_stream_batch(kinds, idx, ops, pos, granule)
-            scalar.replay_scalar(kinds, idx, ops, pos, granule)
-            assert_same_shadow(batch, scalar)
+        flushed, reference = markers({"a": SIZE})
+        for granule in range(4):
+            length = _BATCH_THRESHOLD + int(rng.integers(0, 64))
+            buffers = buffered(random_accesses(rng, ["a"], length))
+            flush_and_replay(flushed, reference, buffers, granule)
+            assert_same_marker(flushed, reference)
 
     def test_mark_write_batch(self):
-        batch = ShadowArray("a", SIZE)
-        scalar = ShadowArray("a", SIZE)
-        indices = [3, 3, 7, 0, 7, 3]
-        batch.mark_write_batch(indices, granule=2)
-        for index in indices:
-            scalar.mark_write(index, granule=2)
-        assert_same_shadow(batch, scalar)
+        flushed, reference = markers({"a": SIZE})
+        writes = [("a", KIND_WRITE, i % 5, 0) for i in range(_BATCH_THRESHOLD)]
+        for granule in (2, 2, 3):  # a repeat granule counts tw once
+            flush_and_replay(flushed, reference, buffered(writes), granule)
+        assert_same_marker(flushed, reference)
+        assert flushed.shadows["a"].tw == 10
+        assert flushed.shadows["a"].multi_w[:5].all()
 
     def test_mark_read_batch(self):
-        batch = ShadowArray("a", SIZE)
-        scalar = ShadowArray("a", SIZE)
-        for shadow in (batch, scalar):
-            shadow.mark_write(5, granule=0)
-        indices = [5, 1, 5, 9]
-        batch.mark_read_batch(indices, granule=0)
-        for index in indices:
-            scalar.mark_read(index, granule=0)
-        assert_same_shadow(batch, scalar)
+        flushed, reference = markers({"a": SIZE})
+        for marker in (flushed, reference):
+            marker.shadows["a"].mark_write(5, granule=0)
+        reads = [("a", KIND_READ, i % 10, 0) for i in range(_BATCH_THRESHOLD)]
+        flush_and_replay(flushed, reference, buffered(reads), 0)
+        assert_same_marker(flushed, reference)
+        # Element 5 was written by the same granule: its reads are covered.
+        assert not flushed.shadows["a"].np_[5]
+        assert flushed.shadows["a"].np_[4]
 
     def test_mark_redux_batch(self):
-        batch = ShadowArray("a", SIZE)
-        scalar = ShadowArray("a", SIZE)
-        indices = [2, 2, 4]
-        batch.mark_redux_batch(indices, granule=1, op="+")
-        for index in indices:
-            scalar.mark_redux(index, granule=1, op="+")
-        assert_same_shadow(batch, scalar)
+        flushed, reference = markers({"a": SIZE})
+        redux = [
+            ("a", KIND_REDUX, i % 3, OP_CODES["+"])
+            for i in range(_BATCH_THRESHOLD)
+        ]
+        for granule in range(3):
+            flush_and_replay(flushed, reference, buffered(redux), granule)
+        assert_same_marker(flushed, reference)
+        assert not flushed.shadows["a"].nx[:3].any()
 
     def test_write_then_read_ordering_within_batch(self):
         # A write covering a later read of the same granule must be seen
-        # in stream order: the read is not exposed.
-        shadow = ShadowArray("a", SIZE)
-        kinds = np.array([KIND_WRITE, KIND_READ])
-        idx = np.array([4, 4])
-        ops = np.zeros(2, dtype=np.int64)
-        pos = np.arange(2, dtype=np.int64)
-        shadow.mark_stream_batch(kinds, idx, ops, pos, granule=0)
-        assert shadow.r[4] and not shadow.np_[4]
+        # in stream order: the read is not exposed.  Read-then-write
+        # leaves it exposed.
+        filler = [("a", KIND_WRITE, 5 + i % 8, 0) for i in range(_BATCH_THRESHOLD)]
+        for first, then, exposed in (
+            (KIND_WRITE, KIND_READ, False), (KIND_READ, KIND_WRITE, True),
+        ):
+            flushed, reference = markers({"a": SIZE})
+            accesses = [("a", first, 4, 0)] + filler + [("a", then, 4, 0)]
+            flush_and_replay(flushed, reference, buffered(accesses), 0)
+            assert_same_marker(flushed, reference)
+            assert flushed.shadows["a"].r[4]
+            assert bool(flushed.shadows["a"].np_[4]) is exposed
 
     def test_eager_batch_reports_same_element_as_scalar(self):
-        eager_batch = ShadowArray("a", SIZE, eager=True)
-        eager_scalar = ShadowArray("a", SIZE, eager=True)
-        for shadow in (eager_batch, eager_scalar):
-            shadow.mark_write(6, granule=0)
-        # Granule 1 reads element 6 (a definite flow) mid-stream.
-        kinds = np.array([KIND_READ, KIND_READ, KIND_WRITE])
-        idx = np.array([1, 6, 2])
-        ops = np.zeros(3, dtype=np.int64)
-        pos = np.arange(3, dtype=np.int64)
-        with pytest.raises(SpeculationFailed) as batch_fail:
-            eager_batch.mark_stream_batch(kinds, idx, ops, pos, granule=1)
-        with pytest.raises(SpeculationFailed) as scalar_fail:
-            eager_scalar.replay_scalar(kinds, idx, ops, pos, granule=1)
-        assert batch_fail.value.element == scalar_fail.value.element == 6
-        assert batch_fail.value.array == "a"
+        # Three eager arrays, none over the threshold alone but together
+        # over it: the flush stages all of them before committing any,
+        # and the failure names the same (array, element) as per-access
+        # marking — a flow into b(6), halfway through the stream.
+        names = {"a": SIZE, "b": SIZE, "c": SIZE}
+        flushed, reference = markers(names, eager=True)
+        flush_and_replay(
+            flushed, reference, buffered([("b", KIND_WRITE, 6, 0)]), 0
+        )
+        share = _BATCH_THRESHOLD // 3 + 1
+        accesses = (
+            [("a", KIND_WRITE, i % SIZE, 0) for i in range(share)]
+            + [("c", KIND_READ, i % SIZE, 0) for i in range(share)]
+            + [("b", KIND_READ, 6, 0)]
+            + [("b", KIND_WRITE, i % 4, 0) for i in range(share)]
+        )
+        buffers = buffered(accesses)
+        assert all(len(buf) < _BATCH_THRESHOLD for buf in buffers.values())
+        assert sum(len(buf) for buf in buffers.values()) >= _BATCH_THRESHOLD
+        flushed.set_granule(1)
+        reference.set_granule(1)
+        with pytest.raises(SpeculationFailed) as flush_fail:
+            flushed.flush_batch(buffers)
+        with pytest.raises(SpeculationFailed) as replay_fail:
+            replay(reference, buffers)
+        assert (flush_fail.value.array, flush_fail.value.element) == ("b", 6)
+        assert (replay_fail.value.array, replay_fail.value.element) == ("b", 6)
+        # The flush charges its whole buffer up front; the shadows stop
+        # where per-access marking stopped.
+        for name in names:
+            assert_same_shadow(flushed.shadows[name], reference.shadows[name])
+
+    def test_eager_passing_batch_commits_every_array(self):
+        # The same three eager arrays over a passing stream: every
+        # granule touches its own elements, reductions stay reductions.
+        names = {"a": SIZE, "b": SIZE, "c": SIZE}
+        flushed, reference = markers(names, eager=True)
+        rng = np.random.default_rng(3)
+        for granule in range(4):
+            own = range(4 * granule, 4 * granule + 4)
+            accesses = []
+            for _ in range(_BATCH_THRESHOLD + 16):
+                name = ("a", "b", "c")[int(rng.integers(3))]
+                index = own[int(rng.integers(4))]
+                if index % 2:
+                    accesses.append((name, int(rng.integers(0, 2)), index, 0))
+                else:
+                    accesses.append((name, KIND_REDUX, index, OP_CODES["max"]))
+            flush_and_replay(flushed, reference, buffered(accesses), granule)
+            assert_same_marker(flushed, reference)
 
     def test_redux_opcode_roundtrip(self):
         # Each operator code marks with the operator it encodes.
         for op, code in OP_CODES.items():
-            batch = ShadowArray("a", SIZE)
-            scalar = ShadowArray("a", SIZE)
-            kinds = np.array([KIND_REDUX])
-            idx = np.array([3])
-            ops = np.array([code], dtype=np.int64)
-            pos = np.zeros(1, dtype=np.int64)
-            batch.mark_stream_batch(kinds, idx, ops, pos, granule=0)
-            scalar.mark_redux(3, granule=0, op=op)
-            assert_same_shadow(batch, scalar)
+            flushed, reference = markers({"a": SIZE})
+            redux = [("a", KIND_REDUX, 3, code)] * _BATCH_THRESHOLD
+            flush_and_replay(flushed, reference, buffered(redux), 0)
+            assert_same_marker(flushed, reference)
+            assert flushed.shadows["a"].reduction_op_of(3) == op
 
 
 class TestReset:
     def test_shadow_reset_equals_fresh(self):
         shadow = ShadowArray("a", SIZE, eager=True)
         rng = np.random.default_rng(42)
-        kinds, idx, ops, pos = random_stream(rng, 25)
+        kinds = rng.integers(0, 3, size=25)
+        idx = rng.integers(0, SIZE, size=25)
+        ops = np.where(kinds == KIND_REDUX, rng.integers(1, 5, size=25), 0)
         try:
-            shadow.replay_scalar(kinds, idx, ops, pos, granule=0)
+            shadow.mark_stream_vec(
+                kinds, idx, ops, np.zeros(25, dtype=np.int64), np.arange(25)
+            )
         except SpeculationFailed:
             pass
         shadow.reset()

@@ -119,21 +119,38 @@ def _failure(mark) -> str | None:
     return None
 
 
+def _random_stream(rng, *, granule=None, max_op=2):
+    """Random ``(kind, index, granule, op)`` accesses; with ``granule``
+    set every access lands in that one granule."""
+    stream = []
+    for _ in range(rng.integers(1, 60)):
+        kind = int(rng.integers(0, 3))
+        index = int(rng.integers(0, SIZE))
+        g = int(rng.integers(0, 6)) if granule is None else granule
+        op = int(rng.integers(1, max_op + 1)) if kind == KIND_REDUX else 0
+        stream.append((kind, index, g, op))
+    return stream
+
+
 def test_mixed_stream_vec_matches_scalar_replay():
     """Random multi-granule streams, ranked in input order and in a
     random permutation, lazy and eager: the bulk marking must leave the
     state (and raise the failure) of the per-access marks replayed in
-    rank order."""
+    rank order.  One-granule streams — the marker's buffered flush —
+    are inputs too: there only the rank orders the accesses within the
+    granule, every reduction operator round-trips, and an eager failure
+    names the element per-access marking names."""
     rng = np.random.default_rng(7)
     perm_rng = np.random.default_rng(11)
-    for trial in range(40):
-        stream = []
-        for _ in range(rng.integers(1, 60)):
-            kind = int(rng.integers(0, 3))
-            index = int(rng.integers(0, SIZE))
-            granule = int(rng.integers(0, 6))
-            op = int(rng.integers(1, 3)) if kind == KIND_REDUX else 0
-            stream.append((kind, index, granule, op))
+    one_granule_rng = np.random.default_rng(13)
+    streams = [_random_stream(rng) for _ in range(40)] + [
+        _random_stream(
+            one_granule_rng, granule=int(one_granule_rng.integers(0, 6)),
+            max_op=len(OP_NAMES),
+        )
+        for _ in range(40)
+    ]
+    for stream in streams:
         kinds, idx, ops, grans, in_order = _columns(stream)
         permuted = perm_rng.permutation(len(stream)).astype(np.int64)
         for rank in (in_order, permuted):

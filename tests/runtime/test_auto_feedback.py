@@ -5,7 +5,9 @@ profile holds enough timed observations the planner goes epsilon-greedy
 (deterministically — a per-loop decision counter, no randomness), picks
 are bit-identical to the same engine requested explicitly, loops with a
 recorded failure history are refused up front with the evidence on the
-report, and a persisted store warms a brand-new runner immediately.
+report — unless the schedule cache holds the run's access pattern, whose
+own verdict decides first — and a persisted store warms a brand-new
+runner immediately.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from repro.machine.costmodel import fx80
 from repro.runtime.engines import EPSILON_PERIOD, MIN_OBSERVATIONS
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.profile import LoopProfileStore, RunObservation
+from repro.runtime.speculative import AdaptiveStripSizer
+from repro.service.catalog import build_workload
 from repro.workloads.bdna import build_bdna
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
@@ -269,6 +273,54 @@ class TestFailureVeto:
         assert "failure rate" in report.engine_decisions[0][1]
 
 
+class TestVerdictCacheBeforeVeto:
+    """With the schedule cache on, history is kept per access pattern:
+    a cached verdict decides first, and a pattern never tested
+    speculates whatever the loop's other patterns did.  Only a run
+    without a pattern signature falls back on the loop-wide veto."""
+
+    def _run(self, name, store, **kwargs):
+        workload = build_workload(name)
+        runner = LoopRunner(workload.program(), workload.inputs, profiles=store)
+        config = RunConfig(
+            model=fx80().with_procs(8), engine="auto", **kwargs
+        )
+        return runner, runner.run(Strategy.SPECULATIVE, config)
+
+    def _failure_history(self):
+        """Two cached ``synthfail`` jobs: 2/2 failures on record."""
+        store = LoopProfileStore()
+        for _ in range(2):
+            _runner, report = self._run("synthfail", store, use_schedule_cache=True)
+            assert report.passed is False
+        return store
+
+    def test_untested_pattern_speculates_past_other_patterns_failures(self):
+        store = self._failure_history()
+        runner, first = self._run("synthpass", store, use_schedule_cache=True)
+        # synthpass is the same loop (one profile key), new inputs.
+        assert store.failure_stats(runner._loop_key()) == (2, 3)
+        assert first.strategy == "speculative"
+        assert first.passed is True
+        assert not first.reused_schedule
+        assert first.speedup == pytest.approx(1.627, abs=1e-3)
+        assert not any(
+            "failure rate" in reason for _key, reason in first.engine_decisions
+        )
+        _runner, second = self._run("synthpass", store, use_schedule_cache=True)
+        assert second.passed is True
+        assert second.reused_schedule
+        assert second.speedup == pytest.approx(2.783, abs=1e-3)
+
+    def test_run_without_a_signature_is_still_vetoed(self):
+        store = self._failure_history()
+        _runner, report = self._run("synthpass", store)  # cache off
+        assert report.stats.get("refused") == 1.0
+        assert report.strategy == "serial"
+        (_key, reason), = report.engine_decisions
+        assert "failure rate 2/2" in reason
+
+
 class TestWarmStartStripSize:
     def test_adaptive_sizer_warm_starts_from_history(self):
         runner = _runner(lambda: build_bdna(n=200))
@@ -298,8 +350,6 @@ class TestWarmStartStripSize:
             Strategy.STRIPPED,
             _config("compiled", adaptive_strip_sizing=True),
         )
-        from repro.runtime.adaptive import AdaptiveStripSizer
-
         assert report.strips[0].strip_size == AdaptiveStripSizer.DEFAULT_INITIAL
 
 

@@ -15,9 +15,9 @@ import numpy as np
 from repro.analysis.dependence import DepKind, DistanceReport, ElementDistance
 from repro.core.shadow import Granularity
 from repro.machine.costmodel import fx80
-from repro.runtime.engines import get_engine
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.profile import RunObservation
+from repro.runtime.speculative import recovery_decision
 from repro.workloads.synthetic import build_partial_parallel, build_synthdoacross
 
 PROCS = 8
@@ -52,7 +52,7 @@ def _obs(*, passed, recovered_fraction=None, sync_wait_cycles=0.0):
 
 
 class TestRecoveryDecision:
-    """The engine's deterministic go/veto on measured distances."""
+    """The tier's deterministic go/veto on measured distances."""
 
     def _report(self, *distances: int) -> DistanceReport:
         return DistanceReport(
@@ -63,39 +63,36 @@ class TestRecoveryDecision:
             ],
         )
 
-    def _engine(self):
-        return get_engine("doacross")
-
     def test_goes_at_measured_distance(self):
-        d, reason = self._engine().recovery_decision(
+        d, reason = recovery_decision(
             self._report(7, 4), aborted=False, granularity=Granularity.ITERATION
         )
         assert d == 4
         assert "pipelined DOACROSS at distance 4" in reason
 
     def test_vetoes_processor_granularity(self):
-        d, reason = self._engine().recovery_decision(
+        d, reason = recovery_decision(
             self._report(4), aborted=False, granularity=Granularity.PROCESSOR
         )
         assert d is None
         assert "processor-wise" in reason
 
     def test_vetoes_aborted_attempt(self):
-        d, reason = self._engine().recovery_decision(
+        d, reason = recovery_decision(
             self._report(4), aborted=True, granularity=Granularity.ITERATION
         )
         assert d is None
         assert "prefix" in reason
 
     def test_vetoes_unmeasured_distance(self):
-        d, reason = self._engine().recovery_decision(
+        d, reason = recovery_decision(
             self._report(), aborted=False, granularity=Granularity.ITERATION
         )
         assert d is None
         assert "no cross-iteration dependence" in reason
 
     def test_vetoes_serial_chain(self):
-        d, reason = self._engine().recovery_decision(
+        d, reason = recovery_decision(
             self._report(1), aborted=False, granularity=Granularity.ITERATION
         )
         assert d is None

@@ -54,7 +54,7 @@ class _StubEngine(ExecutionEngine):
 class TestRegistry:
     def test_builtin_engines_registered(self):
         assert engine_names() == [
-            "auto", "compiled", "doacross", "parallel", "vectorized", "walk"
+            "auto", "compiled", "parallel", "vectorized", "walk"
         ]
         assert DEFAULT_ENGINE in engine_names()
 
@@ -92,13 +92,6 @@ class TestRegistry:
         assert get_engine("vectorized").caps.needs_classifier
         assert get_engine("parallel").caps.requires_workers
         assert get_engine("auto").caps.planner
-        assert get_engine("doacross").caps.recovery
-        assert not get_engine("doacross").caps.supports_serial
-        assert not any(
-            get_engine(name).caps.recovery
-            for name in engine_names()
-            if name != "doacross"
-        )
 
     def test_fallback_chain_walk(self):
         assert registry.fallback_chain("vectorized") == [
@@ -106,7 +99,6 @@ class TestRegistry:
         ]
         assert registry.fallback_chain("compiled") == ["compiled"]
         assert registry.fallback_chain("auto") == ["auto", "compiled"]
-        assert registry.fallback_chain("doacross") == ["doacross", "compiled"]
 
     def test_fallback_cycle_rejected(self):
         fresh = EngineRegistry()
@@ -123,9 +115,7 @@ class TestRegistry:
         for name in ("walk", "compiled"):
             assert registry.serial_engine_for(name) == (name, None)
 
-    @pytest.mark.parametrize(
-        "name", ["parallel", "vectorized", "auto", "doacross"]
-    )
+    @pytest.mark.parametrize("name", ["parallel", "vectorized", "auto"])
     def test_serial_engine_for_substitutes(self, name):
         serial_name, reason = registry.serial_engine_for(name)
         assert serial_name == "compiled"
@@ -139,7 +129,6 @@ class TestRegistry:
         assert registry.needs_worker_pool("auto", 2)
         assert not registry.needs_worker_pool("auto", None)
         assert not registry.needs_worker_pool("compiled", 3)
-        assert not registry.needs_worker_pool("doacross", 3)
 
     def test_render_engine_table_covers_all_engines(self):
         table = render_engine_table()
@@ -150,8 +139,9 @@ class TestRegistry:
 
 class TestValidation:
     def test_run_config_rejects_unknown_engine(self):
-        # "jit" is a retired engine: asking for it is an unknown name.
-        for name in ("turbo", "jit"):
+        # "jit" is a retired engine and "doacross" a recovery tier armed
+        # by strategy, not an engine: asking for either is an unknown name.
+        for name in ("turbo", "jit", "doacross"):
             with pytest.raises(UnknownEngineError, match="registered engines"):
                 RunConfig(engine=name)
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.machine.costmodel import fx80
-from repro.runtime.adaptive import AdaptiveStripSizer
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
-from repro.runtime.speculative import FixedStripSizer
+from repro.runtime.speculative import AdaptiveStripSizer, FixedStripSizer
 from repro.workloads.bdna import build_bdna
 from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
@@ -134,7 +133,8 @@ def test_fixed_sizer_rejects_nonpositive():
 
 
 def test_adaptive_sizer_grows_and_shrinks():
-    sizer = AdaptiveStripSizer(initial_size=16, min_size=4, max_size=64, grow_after=2)
+    assert AdaptiveStripSizer.GROW_AFTER == 2
+    sizer = AdaptiveStripSizer(initial_size=16)
     assert sizer.next_size() == 16
     sizer.record(True)
     assert sizer.next_size() == 16  # one pass is not yet a streak
@@ -144,24 +144,24 @@ def test_adaptive_sizer_grows_and_shrinks():
     assert sizer.next_size() == 16  # halved on failure
     for _ in range(10):
         sizer.record(False)
-    assert sizer.next_size() == 4  # floor
-    for _ in range(20):
+    assert sizer.next_size() == AdaptiveStripSizer.MIN_SIZE == 2  # floor
+    for _ in range(40):
         sizer.record(True)
-    assert sizer.next_size() == 64  # ceiling
+    assert sizer.next_size() == AdaptiveStripSizer.MAX_SIZE == 4096  # ceiling
 
 
 def test_adaptive_sizer_floor_defaults_to_min_size():
-    sizer = AdaptiveStripSizer(initial_size=16, min_size=4, max_size=64)
-    assert sizer.floor == 4
+    sizer = AdaptiveStripSizer(initial_size=16)
+    assert sizer.floor == AdaptiveStripSizer.MIN_SIZE
     for _ in range(10):
         sizer.record(False)
-    assert sizer.next_size() == 4
+    assert sizer.next_size() == AdaptiveStripSizer.MIN_SIZE
 
 
 def test_adaptive_sizer_raised_floor_stops_the_shrink():
     # The warm-start contract: one unlucky strip must not shrink below
     # the converged size history handed the sizer.
-    sizer = AdaptiveStripSizer(initial_size=32, min_size=4, max_size=64)
+    sizer = AdaptiveStripSizer(initial_size=32)
     sizer.raise_floor(32)
     for _ in range(10):
         sizer.record(False)
@@ -169,23 +169,26 @@ def test_adaptive_sizer_raised_floor_stops_the_shrink():
 
 
 def test_adaptive_sizer_reset_floor_restores_full_range():
-    sizer = AdaptiveStripSizer(initial_size=32, min_size=4, max_size=64)
+    sizer = AdaptiveStripSizer(initial_size=32)
     sizer.raise_floor(32)
     sizer.record(False)
     assert sizer.next_size() == 32
     sizer.reset_floor()  # a lifted veto marked the history stale
-    assert sizer.floor == sizer.min_size
+    assert sizer.floor == AdaptiveStripSizer.MIN_SIZE
     for _ in range(10):
         sizer.record(False)
-    assert sizer.next_size() == 4
+    assert sizer.next_size() == AdaptiveStripSizer.MIN_SIZE
 
 
 def test_adaptive_sizer_floor_clamps_to_bounds():
-    sizer = AdaptiveStripSizer(initial_size=16, min_size=4, max_size=64)
-    sizer.raise_floor(1000)
-    assert sizer.floor == 64
+    sizer = AdaptiveStripSizer(initial_size=16)
+    sizer.raise_floor(10**6)
+    assert sizer.floor == AdaptiveStripSizer.MAX_SIZE
     sizer.raise_floor(1)
-    assert sizer.floor == 4
+    assert sizer.floor == AdaptiveStripSizer.MIN_SIZE
+    # The initial size is clamped to the same bounds.
+    assert AdaptiveStripSizer(initial_size=1).next_size() == AdaptiveStripSizer.MIN_SIZE
+    assert AdaptiveStripSizer(initial_size=10**6).next_size() == AdaptiveStripSizer.MAX_SIZE
 
 
 def test_adaptive_strip_sizing_end_to_end():

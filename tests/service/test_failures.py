@@ -91,10 +91,10 @@ class TestBadJobs:
         assert info.value.code == "unknown-workload"
 
     def test_unknown_engine(self, harness):
-        # "jit" is a retired engine: the daemon rejects it like any
-        # unknown name.
+        # "jit" is a retired engine and "doacross" a recovery tier armed
+        # by strategy: the daemon rejects both like any unknown name.
         with ReproClient(harness.socket_path, timeout=30.0) as client:
-            for engine in ("warp", "jit"):
+            for engine in ("warp", "jit", "doacross"):
                 with pytest.raises(JobRejected) as info:
                     client.submit(JobRequest(workload="synthpass", engine=engine))
                 assert info.value.code == "invalid-job"
