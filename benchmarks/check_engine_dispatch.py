@@ -57,10 +57,11 @@ CACHE_PATTERNS = (
     re.compile(r"\bScheduleCache\s*\("),
 )
 
-#: the DOACROSS recovery tier dispatched by enum/string comparison.  The
-#: orchestrator routes strategies through a dict, and the tier is armed
-#: in one place (``LoopRunner._run_speculative``: by the strategy or by
-#: the planner's history checks) and run by the speculative driver's
+#: the DOACROSS recovery tier dispatched by enum/string comparison,
+#: checked everywhere under ``src/repro``.  The orchestrator routes
+#: strategies through a dict, and the tier is armed in one place
+#: (``LoopRunner._run_speculative``: by the strategy or by the planner's
+#: history checks) and run by the speculative driver's
 #: ``recovery_decision``/``roll_back``; a scattered
 #: ``== Strategy.DOACROSS_RECOVERY`` or ``== "doacross_recovery"``
 #: comparison would fork that decision.  Dict keys and ``.value``
@@ -194,18 +195,14 @@ def lint(root: pathlib.Path) -> list[str]:
             and relative not in WALKER_ALLOWED
         )
         check_codegen = relative not in CODEGEN_ALLOWED
-        if not (
-            check_engine or check_backend or check_cache
-            or check_service or check_frontend or driver_patterns
-            or check_walker or check_codegen
-        ):
-            continue
         for lineno, line in enumerate(
             path.read_text().splitlines(), start=1
         ):
             engine_hit = check_engine and any(
-                pattern.search(line)
-                for pattern in PATTERNS + RECOVERY_PATTERNS
+                pattern.search(line) for pattern in PATTERNS
+            )
+            recovery_hit = any(
+                pattern.search(line) for pattern in RECOVERY_PATTERNS
             )
             backend_hit = check_backend and any(
                 pattern.search(line) for pattern in BACKEND_PATTERNS
@@ -229,7 +226,7 @@ def lint(root: pathlib.Path) -> list[str]:
                 pattern.search(line) for pattern in CODEGEN_PATTERNS
             )
             if (
-                engine_hit or backend_hit or cache_hit
+                engine_hit or recovery_hit or backend_hit or cache_hit
                 or service_hit or frontend_hit or driver_hit or walker_hit
                 or codegen_hit
             ):
@@ -261,9 +258,8 @@ def main(argv: list[str] | None = None) -> int:
             f"repro.runtime.engines capability queries or "
             f"repro.runtime.parallel_backend's validate_backend/"
             f"make_worker_pool), Strategy.DOACROSS_RECOVERY and "
-            f"'doacross_recovery' may not be compared against outside "
-            f"repro/runtime/engines (route through the orchestrator's "
-            f"strategy table), "
+            f"'doacross_recovery' may not be compared against anywhere "
+            f"(route through the orchestrator's strategy table), "
             f"ScheduleCache may only "
             f"be constructed inside repro/runtime/profile (go through "
             f"LoopProfileStore), repro/service may not construct "

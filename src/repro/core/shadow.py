@@ -40,13 +40,6 @@ KIND_READ, KIND_WRITE, KIND_REDUX = 0, 1, 2
 #: sentinel for "never written" in the min-write-granule stamp.
 _NEVER_WRITTEN = np.iinfo(np.int64).max
 
-#: below this many buffered marks (per array) the scalar loop beats the
-#: numpy setup cost — ~15 vectorized passes cost roughly as much as a few
-#: hundred scalar marks; both paths are semantically identical
-#: (property-tested).
-_BATCH_THRESHOLD = 512
-
-
 class Granularity(Enum):
     ITERATION = "iteration"
     PROCESSOR = "processor"
@@ -222,13 +215,11 @@ class ShadowArray:
     # -- bulk marking -------------------------------------------------------
     #
     # The vectorized whole-block engine executes an entire doall block of
-    # iterations at once, so its access streams span *many* granules; the
-    # marker's buffered flush hands over one granule's stream (every
-    # granule equal).  Both go through one staging, which replays the
-    # per-access marking semantics with numpy segment arithmetic:
-    # accesses are sorted by (element, stream rank) and the sequential
-    # last-writer chain is reconstructed per element with a running
-    # maximum, which is all the per-access rules depend on.
+    # iterations at once, so its access streams span *many* granules.  The
+    # staging below replays the per-access marking semantics with numpy
+    # segment arithmetic: accesses are sorted by (element, stream rank) and
+    # the sequential last-writer chain is reconstructed per element with a
+    # running maximum, which is all the per-access rules depend on.
 
     def stage_stream_vec(
         self,
@@ -678,12 +669,11 @@ class ShadowMarker:
         ``buffers`` maps each tested array to its ordered access list of
         ``(position, kind, index0, opcode)`` tuples — positions are a
         single strictly increasing sequence *across* arrays, indices are
-        0-based.  Every buffered access is charged to :attr:`cost` exactly
-        as the per-access observer calls would have been.  Under eager
-        detection all arrays are staged before any commits, so a failing
-        granule is detected no matter which array it lands in, and the
-        failure is re-raised by a scalar replay of the global stream —
-        identifying the same (array, element) as per-access marking.
+        0-based.  Every buffered access is marked one by one and charged
+        to :attr:`cost` exactly as the per-access observer calls would
+        have been.  Under eager detection the accesses are marked in
+        global position order, so a failing granule raises at the same
+        (array, element) as per-access marking.
         """
         pending = [(name, buf) for name, buf in buffers.items() if buf]
         if not pending:
@@ -692,38 +682,17 @@ class ShadowMarker:
         self.cost.marks += total
         granule = self.granule
         if any(self.shadows[name].eager for name, _buf in pending):
-            if total < _BATCH_THRESHOLD:
-                # Small granule: per-access marking is cheaper than
-                # staging, and raises SpeculationFailed by itself at the
-                # exact failing access (the per-access eager check).
-                self._replay_stream(pending, granule)
-                return total
-            staged = []
-            for name, buf in pending:
-                shadow = self.shadows[name]
-                staged.append(
-                    (shadow, shadow.stage_stream_vec(*_granule_stream(buf, granule)))
-                )
-            if any(batch.would_fail for _shadow, batch in staged):
-                self._replay_stream(pending, granule)
-                raise AssertionError(
-                    "staged flush failed but scalar replay passed"
-                )
-            for shadow, batch in staged:
-                shadow.commit_batch(batch)
+            self._replay_stream(pending, granule)
             return total
         for name, buf in pending:
             shadow = self.shadows[name]
-            if len(buf) < _BATCH_THRESHOLD:
-                for _pos, kind, index, opcode in buf:
-                    if kind == KIND_WRITE:
-                        shadow.mark_write(index, granule)
-                    elif kind == KIND_READ:
-                        shadow.mark_read(index, granule)
-                    else:
-                        shadow.mark_redux(index, granule, OP_NAMES[opcode])
-            else:
-                shadow.mark_stream_vec(*_granule_stream(buf, granule))
+            for _pos, kind, index, opcode in buf:
+                if kind == KIND_WRITE:
+                    shadow.mark_write(index, granule)
+                elif kind == KIND_READ:
+                    shadow.mark_read(index, granule)
+                else:
+                    shadow.mark_redux(index, granule, OP_NAMES[opcode])
         return total
 
     def _replay_stream(
@@ -760,14 +729,3 @@ class ShadowMarker:
         self.cost.marks += 1
         self.shadows[array].mark_redux(index - 1, self.granule, op)
 
-
-def _granule_stream(
-    buf: list[tuple[int, int, int, int]], granule: int
-) -> tuple[np.ndarray, ...]:
-    """One granule's buffered ``(position, kind, index0, opcode)`` list
-    as the ``(kinds, idx, ops, granules, rank)`` columns of
-    :meth:`ShadowArray.stage_stream_vec` — every granule equal, the
-    buffered positions as rank."""
-    columns = np.asarray(buf, dtype=np.int64)
-    granules = np.full(len(buf), granule, dtype=np.int64)
-    return columns[:, 1], columns[:, 2], columns[:, 3], granules, columns[:, 0]

@@ -11,8 +11,8 @@ loop body* into closures that carry the full speculative machinery:
   exactly as under the walker;
 * tested-array accesses are recorded for shadow marking — but instead of
   one observer call per access, each iteration's accesses are buffered as
-  ``(position, kind, index0, opcode)`` tuples and flushed in bulk through
-  :meth:`repro.core.shadow.ShadowMarker.flush_batch`;
+  ``(position, kind, index0, opcode)`` tuples and flushed once per
+  iteration through :meth:`repro.core.shadow.ShadowMarker.flush_batch`;
 * value-based (LPD) taint semantics are reproduced bit-for-bit: loads of
   tested arrays produce :class:`~repro.interp.interpreter.Tainted`
   values whose pending reads are reported only where the walker would

@@ -381,13 +381,13 @@ class LoopRunner:
             f"failure(s), no recovery veto on record)"
         )
 
-    def _sizer(self, config: RunConfig, planner: bool):
-        """The strip policy ``config`` asks for, with the planner evidence
-        behind an adaptive sizer: ``(sizer, warm-start reason,
-        floor-reset reason)``."""
+    def _sizer(self, config: RunConfig, planner: bool, whole: bool):
+        """The strip policy ``config`` asks for — :class:`WholeLoop` for a
+        ``whole`` run — with the planner evidence behind an adaptive
+        sizer: ``(sizer, warm-start reason, floor-reset reason)``."""
+        if whole:
+            return WholeLoop(), None, None
         if not config.adaptive_strip_sizing:
-            if config.strip_size is None:
-                return WholeLoop(), None, None
             return FixedStripSizer(config.strip_size), None, None
         initial = config.strip_size or AdaptiveStripSizer.DEFAULT_INITIAL
         warm = warm_reason = floor_reason = None
@@ -483,7 +483,7 @@ class LoopRunner:
             recovery = True
             decisions.extend([veto, rescue])
 
-        sizer, warm_reason, floor_reason = self._sizer(config, planner)
+        sizer, warm_reason, floor_reason = self._sizer(config, planner, whole)
         decisions.append(floor_reason)
         outcome = SpeculationPipeline(
             self.program,

@@ -1,20 +1,16 @@
 """Buffered shadow marking ≡ per-access marking, and in-place reset.
 
 The compiled speculative engine buffers one granule's accesses and hands
-them to :meth:`ShadowMarker.flush_batch`.  From ``_BATCH_THRESHOLD``
-buffered marks on, the flush stages them in bulk through
-:meth:`ShadowArray.stage_stream_vec` (every granule equal, the buffered
-positions as rank) instead of marking access by access.  Either way the
-marker must end where per-access marking of the same stream ends: the
-same shadows, the same mark count, and under eager detection the same
-``(array, element)`` in :class:`SpeculationFailed`.
+them to :meth:`ShadowMarker.flush_batch`.  The marker must end where
+per-access marking of the same stream ends: the same shadows, the same
+mark count, and under eager detection the same ``(array, element)`` in
+:class:`SpeculationFailed`.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.shadow import (
-    _BATCH_THRESHOLD,
     KIND_READ,
     KIND_REDUX,
     KIND_WRITE,
@@ -104,82 +100,72 @@ def random_accesses(rng, names, length: int):
 class TestBatchEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_streams_match_scalar_replay(self, seed):
-        # One array, no eager detection, every granule over the
-        # threshold: each flush takes the bulk branch.
         rng = np.random.default_rng(seed)
-        flushed, reference = markers({"a": SIZE})
-        for granule in range(4):
-            length = _BATCH_THRESHOLD + int(rng.integers(0, 64))
-            buffers = buffered(random_accesses(rng, ["a"], length))
+        flushed, reference = markers({"a": SIZE, "b": SIZE})
+        for granule in range(5):
+            length = int(rng.integers(1, 30))
+            buffers = buffered(random_accesses(rng, ["a", "b"], length))
             flush_and_replay(flushed, reference, buffers, granule)
             assert_same_marker(flushed, reference)
 
     def test_mark_write_batch(self):
         flushed, reference = markers({"a": SIZE})
-        writes = [("a", KIND_WRITE, i % 5, 0) for i in range(_BATCH_THRESHOLD)]
+        writes = [("a", KIND_WRITE, index, 0) for index in (3, 3, 7, 0, 7, 3)]
         for granule in (2, 2, 3):  # a repeat granule counts tw once
             flush_and_replay(flushed, reference, buffered(writes), granule)
         assert_same_marker(flushed, reference)
-        assert flushed.shadows["a"].tw == 10
-        assert flushed.shadows["a"].multi_w[:5].all()
+        assert flushed.shadows["a"].tw == 6
+        assert flushed.shadows["a"].multi_w[[0, 3, 7]].all()
 
     def test_mark_read_batch(self):
         flushed, reference = markers({"a": SIZE})
         for marker in (flushed, reference):
             marker.shadows["a"].mark_write(5, granule=0)
-        reads = [("a", KIND_READ, i % 10, 0) for i in range(_BATCH_THRESHOLD)]
+        reads = [("a", KIND_READ, index, 0) for index in (5, 1, 5, 9)]
         flush_and_replay(flushed, reference, buffered(reads), 0)
         assert_same_marker(flushed, reference)
         # Element 5 was written by the same granule: its reads are covered.
         assert not flushed.shadows["a"].np_[5]
-        assert flushed.shadows["a"].np_[4]
+        assert flushed.shadows["a"].np_[1]
 
     def test_mark_redux_batch(self):
         flushed, reference = markers({"a": SIZE})
-        redux = [
-            ("a", KIND_REDUX, i % 3, OP_CODES["+"])
-            for i in range(_BATCH_THRESHOLD)
-        ]
+        redux = [("a", KIND_REDUX, index, OP_CODES["+"]) for index in (2, 2, 4)]
         for granule in range(3):
             flush_and_replay(flushed, reference, buffered(redux), granule)
         assert_same_marker(flushed, reference)
-        assert not flushed.shadows["a"].nx[:3].any()
+        assert not flushed.shadows["a"].nx[[2, 4]].any()
 
     def test_write_then_read_ordering_within_batch(self):
         # A write covering a later read of the same granule must be seen
         # in stream order: the read is not exposed.  Read-then-write
         # leaves it exposed.
-        filler = [("a", KIND_WRITE, 5 + i % 8, 0) for i in range(_BATCH_THRESHOLD)]
         for first, then, exposed in (
             (KIND_WRITE, KIND_READ, False), (KIND_READ, KIND_WRITE, True),
         ):
             flushed, reference = markers({"a": SIZE})
-            accesses = [("a", first, 4, 0)] + filler + [("a", then, 4, 0)]
+            accesses = [("a", first, 4, 0), ("a", then, 4, 0)]
             flush_and_replay(flushed, reference, buffered(accesses), 0)
             assert_same_marker(flushed, reference)
             assert flushed.shadows["a"].r[4]
             assert bool(flushed.shadows["a"].np_[4]) is exposed
 
     def test_eager_batch_reports_same_element_as_scalar(self):
-        # Three eager arrays, none over the threshold alone but together
-        # over it: the flush stages all of them before committing any,
-        # and the failure names the same (array, element) as per-access
-        # marking — a flow into b(6), halfway through the stream.
+        # Three eager arrays: the failure names the same (array, element)
+        # as per-access marking — the flow into b(6), mid-stream, not the
+        # later one into a(9), although array a's buffer comes first.
         names = {"a": SIZE, "b": SIZE, "c": SIZE}
         flushed, reference = markers(names, eager=True)
         flush_and_replay(
-            flushed, reference, buffered([("b", KIND_WRITE, 6, 0)]), 0
+            flushed, reference,
+            buffered([("b", KIND_WRITE, 6, 0), ("a", KIND_WRITE, 9, 0)]), 0,
         )
-        share = _BATCH_THRESHOLD // 3 + 1
-        accesses = (
-            [("a", KIND_WRITE, i % SIZE, 0) for i in range(share)]
-            + [("c", KIND_READ, i % SIZE, 0) for i in range(share)]
-            + [("b", KIND_READ, 6, 0)]
-            + [("b", KIND_WRITE, i % 4, 0) for i in range(share)]
-        )
+        accesses = [
+            ("a", KIND_WRITE, 1, 0), ("c", KIND_READ, 2, 0),
+            ("b", KIND_READ, 6, 0), ("a", KIND_READ, 9, 0),
+            ("b", KIND_WRITE, 2, 0),
+        ]
         buffers = buffered(accesses)
-        assert all(len(buf) < _BATCH_THRESHOLD for buf in buffers.values())
-        assert sum(len(buf) for buf in buffers.values()) >= _BATCH_THRESHOLD
         flushed.set_granule(1)
         reference.set_granule(1)
         with pytest.raises(SpeculationFailed) as flush_fail:
@@ -193,31 +179,13 @@ class TestBatchEquivalence:
         for name in names:
             assert_same_shadow(flushed.shadows[name], reference.shadows[name])
 
-    def test_eager_passing_batch_commits_every_array(self):
-        # The same three eager arrays over a passing stream: every
-        # granule touches its own elements, reductions stay reductions.
-        names = {"a": SIZE, "b": SIZE, "c": SIZE}
-        flushed, reference = markers(names, eager=True)
-        rng = np.random.default_rng(3)
-        for granule in range(4):
-            own = range(4 * granule, 4 * granule + 4)
-            accesses = []
-            for _ in range(_BATCH_THRESHOLD + 16):
-                name = ("a", "b", "c")[int(rng.integers(3))]
-                index = own[int(rng.integers(4))]
-                if index % 2:
-                    accesses.append((name, int(rng.integers(0, 2)), index, 0))
-                else:
-                    accesses.append((name, KIND_REDUX, index, OP_CODES["max"]))
-            flush_and_replay(flushed, reference, buffered(accesses), granule)
-            assert_same_marker(flushed, reference)
-
     def test_redux_opcode_roundtrip(self):
         # Each operator code marks with the operator it encodes.
         for op, code in OP_CODES.items():
             flushed, reference = markers({"a": SIZE})
-            redux = [("a", KIND_REDUX, 3, code)] * _BATCH_THRESHOLD
-            flush_and_replay(flushed, reference, buffered(redux), 0)
+            flush_and_replay(
+                flushed, reference, buffered([("a", KIND_REDUX, 3, code)]), 0
+            )
             assert_same_marker(flushed, reference)
             assert flushed.shadows["a"].reduction_op_of(3) == op
 

@@ -337,6 +337,22 @@ class TestOneDriverLint:
             "runtime/orchestrator.py:1: finalize_doall(run, env, plan)",
         ]
 
+    def test_recovery_comparisons_are_flagged_everywhere(self, tmp_path):
+        (tmp_path / "runtime" / "engines").mkdir(parents=True)
+        (tmp_path / "runtime" / "engines" / "auto.py").write_text(
+            "if strategy is Strategy.DOACROSS_RECOVERY:\n"
+        )
+        (tmp_path / "runtime" / "orchestrator.py").write_text(
+            "Strategy.DOACROSS_RECOVERY: self._run_speculative,\n"
+            "if name == 'doacross_recovery':\n"
+        )
+        hits = [hit.removeprefix(f"{tmp_path}/") for hit in self._lint()(tmp_path)]
+        assert hits == [
+            "runtime/engines/auto.py:1: "
+            "if strategy is Strategy.DOACROSS_RECOVERY:",
+            "runtime/orchestrator.py:2: if name == 'doacross_recovery':",
+        ]
+
     def test_tree_walked_statements_outside_walk_and_inspector_are_flagged(
         self, tmp_path
     ):
