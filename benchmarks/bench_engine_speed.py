@@ -1,8 +1,9 @@
 """Infrastructure benchmark — execution-engine wall-clock comparison.
 
 Not a paper artifact: measures this repository's execution engines
-(tree-walking interpreter vs closure-compiled fast path) on BDNA, both
-on the serial run and on the full speculative protocol.  The compiled
+(tree-walking interpreter vs generated Python, and generated Python vs
+the vectorized whole-block lowering) on BDNA, both on the serial run
+and on the full speculative protocol.  The compiled
 engines must produce bit-identical simulated times, test outcomes and
 memory state — the only thing allowed to differ is the real wall clock.
 Both engines are timed the same way (best of ``ROUNDS`` runs each) so
@@ -147,13 +148,14 @@ def test_engine_speed_speculative(benchmark, artifact):
 
 
 def test_engine_speed_vectorized(benchmark, artifact):
-    """The vectorized whole-block engine: >=3x over compiled on BDNA.
+    """The vectorized whole-block engine: faster than compiled on BDNA.
 
     The larger n=800 instance is where whole-block lowering pays: the
-    per-iteration Python dispatch the compiled engine still does is
-    replaced by a handful of NumPy kernels over index vectors plus one
-    bulk shadow-marking pass.  The block must actually commit (no
-    fallback) and every observable must match the compiled engine.
+    per-iteration generated function the compiled engine calls, and its
+    per-iteration mark flush, are replaced by a handful of NumPy kernels
+    over index vectors plus one bulk shadow-marking pass.  The block
+    must actually commit (no fallback) and every observable must match
+    the compiled engine.
     """
     workload = build_bdna(n=800)
     program = parse(workload.source)
@@ -219,8 +221,11 @@ def test_engine_speed_vectorized(benchmark, artifact):
     assert fast_out.stats == vec_out.stats
     assert fast_out.run.iteration_costs == vec_out.run.iteration_costs
     _assert_same_env(fast_env, vec_env)
-    # The perf target: whole-block lowering is >=3x over closure dispatch.
-    assert ratio >= 3.0, f"vectorized speculative engine only {ratio:.2f}x"
+    # The perf target: whole-block lowering stays the faster engine, as
+    # auto's static plan assumes.  The floor is 0.87 of the ratio
+    # measured over generated-code doalls (1.78, 2-core host), the
+    # headroom 3.0 had under the 3.45 of the per-node closures.
+    assert ratio >= 1.55, f"vectorized speculative engine only {ratio:.2f}x"
 
 
 def test_engine_speed_auto(benchmark, artifact):

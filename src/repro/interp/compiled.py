@@ -1,20 +1,34 @@
-"""The serial execution engine: DSL programs run as generated Python.
+"""The compiled engine: DSL programs run as generated Python.
 
 The tree-walking interpreter (:mod:`repro.interp.interpreter`) pays
-dynamic dispatch on every AST node.  For the *serial* executions the
-runtime performs constantly — the serial reference run, the loop's entry
-and exit blocks, and the rollback and DOACROSS-recovery re-runs after a
-failed speculation — this module generates Python source from the DSL
-AST, one function per top-level statement and one per top-level ``do``
-loop (its iterations, for :meth:`CompiledProgram.run_loop`), compiles
-the text once and runs the functions.
+dynamic dispatch on every AST node.  This module generates Python
+source from the DSL AST instead, compiles the text once and runs the
+functions.  Two kinds of code come from one generator:
+
+* *serial* code, for the serial executions the runtime performs
+  constantly — the serial reference run, the loop's entry and exit
+  blocks, and the rollback and DOACROSS-recovery re-runs after a failed
+  speculation: one function per top-level statement and one per
+  top-level ``do`` loop (its iterations, for
+  :meth:`CompiledProgram.run_loop`).  Its stores write ``env.arrays``
+  directly (see :meth:`~repro.interp.env.Environment.bump_version`);
+* the *marked iteration* of a speculative doall
+  (:meth:`CompiledProgram.marked_loop`): each array access goes to the
+  structure the access router would pick (a private copy's rows, a
+  reduction partial map, the shared array), each access to a tested
+  array is buffered as a shadow mark in the walker's order and flushed
+  once per iteration through
+  :meth:`~repro.core.shadow.ShadowMarker.flush_batch`, and value-based
+  (LPD) reads are reported where the walker reports them, from the
+  walker's own taint sets.
 
 How the generated code keeps the walker's semantics:
 
 * Scalars are Python locals, loaded at function entry and written back
   in a ``finally`` block, so the environment after an
   :class:`~repro.errors.InterpError` holds what the walker's would.
-  Arrays and their sizes are bound once per call.
+  Arrays and their sizes are bound once per call (per doall, for the
+  marked iteration).
 * Operation counts are static per statement: every straight-line region
   adds its constants to local counters, each branch arm its own, and a
   loop whose body is straight-line adds ``trips * body`` once.
@@ -27,7 +41,8 @@ How the generated code keeps the walker's semantics:
   error surfaces first.  Subscripts keep the non-integral and 1-based
   bounds checks; the float check, and the ``int()``/``float()`` of a
   scalar assignment, are skipped only where the value's type is
-  statically known.
+  statically known.  A store evaluates its subscript, then its value,
+  then checks bounds, as the walker does.
 
 The text holds only generated identifiers and the ``repr()`` of finite
 integer and float literals.  Every DSL name (and any other literal)
@@ -43,10 +58,6 @@ than a fixed depth is bound to a temporary ("too many nested
 parentheses"), and a compound statement nested deeper than a fixed
 block or indentation depth becomes a separate generated function
 ("too many statically nested blocks").
-
-The engine is serial-only: no memory routing, no observers, no taint
-tracking.  Its stores write ``env.arrays`` directly (see
-:meth:`~repro.interp.env.Environment.bump_version`).
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import math
 import threading
 from collections import OrderedDict
 from types import CodeType
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 from repro.dsl.ast_nodes import (
     ArrayDecl,
@@ -75,6 +86,8 @@ from repro.dsl.ast_nodes import (
     While,
     walk_statements,
 )
+from repro.core.reduction_exec import REDUCTION_IDENTITY
+from repro.core.shadow import KIND_READ, KIND_REDUX, KIND_WRITE, OP_CODES
 from repro.errors import InterpError
 from repro.interp.costs import CostCounter, IterationCost
 from repro.interp.env import Environment
@@ -149,6 +162,27 @@ def _while_limit():
     raise InterpError("do while exceeded the iteration safety limit")
 
 
+_EMPTY: frozenset = frozenset()
+
+
+def _union(*parts):
+    """The walker's taint union: each tainted part, in order, joined onto
+    an empty set, so the result iterates as the walker's does."""
+    taints = _EMPTY
+    for part in parts:
+        if part:
+            taints = taints | part
+    return taints or None
+
+
+def _reads(taints, buffers, q):
+    """Buffer a read mark per pending read, in the set's iteration order."""
+    for array, index in taints:
+        buffers[array].append((q, KIND_READ, index - 1, 0))
+        q += 1
+    return q
+
+
 _RUNTIME = {
     "_apply_binop": _apply_binop,
     "_apply_intrinsic": _apply_intrinsic,
@@ -161,6 +195,9 @@ _RUNTIME = {
     "_while_limit": _while_limit,
     "_IterationCost": IterationCost,
     "_MAX_WHILE": MAX_WHILE_ITERATIONS,
+    "_EMPTY": _EMPTY,
+    "_union": _union,
+    "_reads": _reads,
 }
 
 
@@ -170,6 +207,9 @@ _RUNTIME = {
 
 _CODE_CACHE: OrderedDict[str, CodeType] = OrderedDict()
 _CODE_CACHE_LOCK = threading.Lock()
+#: held while a program's marked loops are looked up or generated, so
+#: threads sharing a program generate each loop once.
+_MARKED_LOCK = threading.Lock()
 
 
 def _code_for(text: str) -> CodeType:
@@ -225,6 +265,7 @@ class CompiledProgram:
             for stmt, name in zip(program.body, loop_names)
             if name is not None
         }
+        self._marked: dict[tuple, MarkedLoop] = {}
 
     def run(self, env: Environment, cost: CostCounter | None = None) -> CostCounter:
         """Execute the whole program against ``env``."""
@@ -267,10 +308,111 @@ class CompiledProgram:
             raise InterpError("loop was not compiled as part of this program")
         fn(env.scalars, env.arrays, cost, values)
 
+    def marked_loop(
+        self,
+        loop: Do,
+        *,
+        tested: Iterable[str],
+        value_based: bool,
+        redux_refs: Mapping[int, str],
+        private: Iterable[str],
+        partial: Iterable[str],
+        live_out: Iterable[str],
+    ) -> "MarkedLoop":
+        """The speculative iteration of ``loop``, generated at first use.
+
+        ``tested`` are the arrays whose accesses are marked (empty for an
+        unmarked doall), ``private`` and ``partial`` the arrays the doall
+        privatizes and reduces into partials, ``live_out`` the scalars
+        whose pending reads are reported at each iteration's end.  The
+        generated text depends on nothing else, so every doall of one
+        configuration (every strip, a vectorized bail's re-run, every
+        task of a worker pool) shares one generation.
+        """
+        tested = frozenset(tested)
+        key = (
+            id(loop), tested, bool(value_based) and bool(tested),
+            frozenset(redux_refs.items()), frozenset(private),
+            frozenset(partial), frozenset(live_out),
+        )
+        with _MARKED_LOCK:
+            marked = self._marked.get(key)
+            if marked is None:
+                marked = self._marked[key] = generate_marked_loop(
+                    self.program, loop, tested=tested, value_based=key[2],
+                    redux_refs=redux_refs, private=key[4], partial=key[5],
+                    live_out=key[6],
+                )
+        return marked
+
 
 def compile_program(program: Program) -> CompiledProgram:
     """Compile ``program`` once; run it many times."""
     return CompiledProgram(program)
+
+
+class MarkedLoop:
+    """A target loop's generated speculative iteration, bound per doall.
+
+    :meth:`bind` returns ``iteration(scalars, proc, position, value)``:
+    it runs one iteration for virtual processor ``proc`` against its
+    scalars, stamps private writes with ``position``, buffers the
+    iteration's shadow marks and flushes them through the marker's
+    :meth:`~repro.core.shadow.ShadowMarker.flush_batch`, and returns the
+    iteration's :class:`~repro.interp.costs.IterationCost`.  A flush
+    that raises :class:`~repro.errors.SpeculationFailed` returns
+    nothing, so the aborted iteration's counts are discarded.
+    """
+
+    def __init__(self, loop: Do, factory: Callable, source: str,
+                 tested: frozenset[str], live_names: list[str]):
+        #: held, so the loop's id stays the memo key of this loop alone.
+        self.loop = loop
+        #: the generated module text (free of every DSL identifier).
+        self.source = source
+        self._factory = factory
+        self._tested = sorted(tested)
+        self._live_names = live_names
+
+    def bind(self, arrays, privates, partials, marker, live_out: Iterable[str]):
+        """Bind the doall's shared arrays, private copies, reduction
+        partials and marker (None for an unmarked doall).  ``live_out``
+        must be the very collection the walker would iterate: its order
+        is the order of the end-of-iteration reads."""
+        live = self._live_names
+        return self._factory(
+            arrays,
+            {name: list(copies.data) for name, copies in privates.items()},
+            {name: list(copies.wstamp) for name, copies in privates.items()},
+            {name: copies.value_rows() for name, copies in privates.items()},
+            {name: part.proc_maps() for name, part in partials.items()},
+            {name: [] for name in self._tested},
+            marker.flush_batch if marker is not None else None,
+            tuple(live.index(name) for name in live_out if name in live),
+        )
+
+
+def generate_marked_loop(
+    program: Program,
+    loop: Do,
+    *,
+    tested: frozenset[str],
+    value_based: bool,
+    redux_refs: Mapping[int, str],
+    private: frozenset[str],
+    partial: frozenset[str],
+    live_out: frozenset[str],
+) -> MarkedLoop:
+    """Generate and compile ``loop``'s speculative iteration."""
+    gen = _MarkedGenerator(
+        program, loop, tested, value_based, dict(redux_refs), private,
+        partial, live_out,
+    )
+    factory = gen.factory()
+    source = gen.text()
+    namespace = dict(_RUNTIME, K=tuple(gen.constants))
+    exec(_code_for(source), namespace)
+    return MarkedLoop(loop, namespace[factory], source, tested, gen.live_names)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +539,14 @@ class _Generator:
         self.functions.append(fn.finish())
         return fn.name
 
-    def split_function(self, stmt: Stmt) -> tuple[str, set[str]]:
-        fn = _Function(self, self._name("g"), "scalars, arrays")
+    def split_function(self, stmt: Stmt) -> "_Function":
+        fn = self.split_callee(self._name("g"))
         fn.statement(stmt)
         self.functions.append(fn.finish())
-        return fn.name, fn.written
+        return fn
+
+    def split_callee(self, name: str) -> "_Function":
+        return _Function(self, name, "scalars, arrays")
 
     def loop_function(self, loop: Do) -> str:
         fn = _Function(self, self._name("l"), "scalars, arrays, cost, values")
@@ -418,16 +563,25 @@ class _Function:
 
     Locals: ``v<i>`` scalars, ``a<i>``/``n<i>`` arrays and their sizes,
     ``t<i>`` temporaries, ``c0``–``c5`` operation counters.
+
+    An expression generates to ``(text, type, depth, taint)``.  The
+    taint is always None here; :class:`_MarkedFunction` gives the hooks
+    (:meth:`load`, :meth:`store`, :meth:`reads`, :meth:`union`,
+    :meth:`taint_of`) their speculative meaning.
     """
+
+    #: the arguments a split-off callee is called with.
+    split_args = "scalars, arrays"
 
     def __init__(self, gen: _Generator, name: str, params: str):
         self.gen = gen
         self.name = name
         self.params = params
-        #: lines, and (indent, names) placeholders filled in by
-        #: :meth:`finish`: a split call's spill (names None) and reload.
-        self.lines: list[str | tuple[int, set[str] | None]] = []
+        #: lines, and (indent, callee) placeholders filled in by
+        #: :meth:`finish`: a split call's spill (callee None) and reload.
+        self.lines: list[str | tuple[int, _Function | None]] = []
         self.prologue: list[str] = []
+        self.handler: list[str] = []
         self.epilogue = ["return (c0, c1, c2, c3, c4, c5)"]
         self.indent = 2  # inside ``def`` and ``try``
         self.blocks = 1  # the ``try``
@@ -439,6 +593,8 @@ class _Function:
         #: array name -> (local, size local, constant)
         self.arrays: dict[str, tuple[str, str, str]] = {}
         self.pending = [0] * 6
+        #: marks buffered since the mark position ``q`` last advanced.
+        self.qpend = 0
         #: the counters are not yet initialised: the next flush assigns.
         self.fresh = True
         #: (subscript, size) pairs bounds-checked on every path to the
@@ -469,6 +625,13 @@ class _Function:
                 if k:
                     self.line(f"c{j} += {k}")
         self.pending = [0] * 6
+        self.flush_q()
+
+    def flush_q(self) -> None:
+        """Advance the mark position past the marks buffered since."""
+        if self.qpend:
+            self.line(f"q += {self.qpend}")
+            self.qpend = 0
 
     def settled_checks(self) -> set[tuple[str, str]]:
         """The checks of literal and temporary subscripts: they hold
@@ -496,22 +659,30 @@ class _Function:
     def finish(self) -> str:
         self.flush()
         out = [f"def {self.name}({self.params}):"]
-        for local, size, const in self.arrays.values():
-            out.append(f"    {local} = arrays[{const}]")
-            out.append(f"    {size} = {local}.size")
-        for local, const in self.scalars.values():
-            out.append(f"    {local} = scalars[{const}]")
-        out.extend("    " + text for text in self.prologue)
+        out.extend("    " + text for text in self.entry())
         out.append("    try:")
         for entry in self.lines:
             if isinstance(entry, tuple):
                 out.extend(self._spill_lines(*entry))
             else:
                 out.append(entry)
+        out.extend(self.handler)
         out.append("    finally:")
-        out.extend(self._store_lines(self.written, 2) or ["        pass"])
+        out.extend(self._exit_lines() or ["        pass"])
         out.extend("    " + text for text in self.epilogue)
         return "\n".join(out) + "\n"
+
+    def entry(self) -> list[str]:
+        """The lines that bind arrays and load scalars at entry."""
+        out = []
+        for local, size, const in self.arrays.values():
+            out.append(f"{local} = arrays[{const}]")
+            out.append(f"{size} = {local}.size")
+        out.extend(f"{local} = scalars[{const}]" for local, const in self.scalars.values())
+        return out + self.prologue
+
+    def _exit_lines(self) -> list[str]:
+        return self._store_lines(self.written, 2)
 
     def _store_lines(self, names: set[str], indent: int) -> list[str]:
         pad = "    " * indent
@@ -521,14 +692,14 @@ class _Function:
             if name in names
         ]
 
-    def _spill_lines(self, indent: int, reload: set[str] | None) -> list[str]:
-        if reload is None:
+    def _spill_lines(self, indent: int, callee: "_Function | None") -> list[str]:
+        if callee is None:
             return self._store_lines(self.written, indent)
         pad = "    " * indent
         reloads = [
             f"{pad}{local} = scalars[{const}]"
             for name, (local, const) in self.scalars.items()
-            if name in reload
+            if name in callee.written
         ]
         return reloads or [f"{pad}pass"]
 
@@ -541,15 +712,7 @@ class _Function:
         self.indent += 1
         self.blocks += 1
         self.prologue.append("append = cost.iteration_costs.append")
-        var = loop.var
-        if var in self.gen.scalar_names:
-            local = self.scalar(var, write=True)
-            self.line(f"{local} = {self.gen.kind_of(var)}(value)")
-        elif var in self.gen.kinds:
-            const = self.gen.constant(var)
-            self.line(f"scalars[{const}] = {self.gen.kind_of(var)}(value)")
-        else:
-            self.prologue.append(f"_undeclared_scalar({self.gen.constant(var)})")
+        self.set_iteration_var(loop.var)
         counters = ", ".join(f"c{j}" for j in range(6))
         if _straight(loop.body):
             self.fresh = False
@@ -578,6 +741,19 @@ class _Function:
         self.prologue.append("u0 = u1 = u2 = u3 = u4 = u5 = 0")
         self.epilogue = [f"cost.{_COUNTERS[j]} += u{j}" for j in range(6)]
 
+    def set_iteration_var(self, var: str) -> None:
+        """Set the loop variable to ``value``, as the walker's
+        ``exec_iteration`` does."""
+        gen = self.gen
+        if var in gen.scalar_names:
+            local = self.scalar(var, write=True)
+            self.line(f"{local} = {gen.kind_of(var)}(value)")
+        elif var in gen.kinds:
+            const = gen.constant(var)
+            self.line(f"scalars[{const}] = {gen.kind_of(var)}(value)")
+        else:
+            self.prologue.append(f"_undeclared_scalar({gen.constant(var)})")
+
     def block(self, body: list[Stmt]) -> None:
         if not body:
             self.line("pass")
@@ -605,36 +781,45 @@ class _Function:
     def split(self, stmt: Stmt) -> None:
         """Run ``stmt`` as its own generated function: spill the dirty
         scalar locals, call, reload what the callee may have written."""
-        name, written = self.gen.split_function(stmt)
+        callee = self.gen.split_function(stmt)
         self.lines.append((self.indent, None))
         result = self.temp()
         self.line("try:")
-        self.line(f"    {result} = {name}(scalars, arrays)")
+        self.line(f"    {result} = {callee.name}({self.split_args})")
         self.line("finally:")
-        self.lines.append((self.indent + 1, written))
+        self.lines.append((self.indent + 1, callee))
         for j in range(6):
             self.line(f"c{j} += {result}[{j}]")
-        self.written |= written
+        self.after_split(callee, result)
+        self.written |= callee.written
         self.checked = self.settled_checks()
+
+    def after_split(self, callee: "_Function", result: str) -> None:
+        return None
 
     def assign(self, stmt: Assign) -> None:
         target = stmt.target
         if isinstance(target, Var):
-            text, kind, _ = self.expr(stmt.expr)
+            text, kind, _, taint = self.expr(stmt.expr)
             self.pending[_SCALARS] += 1
-            self.store_scalar(target.name, text, kind)
+            self.store_scalar(target.name, text, kind, taint)
             return
         assert isinstance(target, ArrayRef)
-        # The walker checks a store's subscript for bounds only after
-        # evaluating the value, as it stores.
+        # The walker evaluates a store's subscript, then its value, and
+        # checks the subscript's bounds only as it stores.
         index = self.subscript(target)
-        text, _, _ = self.expr(stmt.expr)
+        text, kind, _, taint = self.expr(stmt.expr)
+        self.reads(taint)
         self.pending[_WRITES] += 1
-        if self.bounds_check(target, index):
-            local, _ = self.array(target.name)
+        self.store(target, index, text, kind)
+
+    def store(self, ref: ArrayRef, index: str, text: str, kind: str | None) -> None:
+        """Emit ``ref(index) = text`` with its bounds check."""
+        if self.bounds_check(ref, index):
+            local, _ = self.array(ref.name)
             self.line(f"{local}[{index} - 1] = {text}")
 
-    def store_scalar(self, name: str, text: str, kind: str | None) -> None:
+    def store_scalar(self, name: str, text: str, kind: str | None, taint) -> None:
         gen = self.gen
         if name in gen.scalar_names:
             declared = gen.kind_of(name)
@@ -675,7 +860,8 @@ class _Function:
         """A loop bound, converted by ``int()``: a literal or a temporary."""
         if isinstance(expr, Num) and math.isfinite(expr.value):
             return _literal(int(expr.value))
-        text, kind, _ = self.expr(expr)
+        text, kind, _, taint = self.expr(expr)
+        self.reads(taint)
         temp = self.temp()
         self.line(f"{temp} = {text}" if kind == _INT else f"{temp} = int({text})")
         return temp
@@ -739,6 +925,7 @@ class _Function:
         straight = _straight(stmt.body)
         if straight:
             self.block(stmt.body)
+            self.flush_q()
             counts, self.pending = self.pending, [0] * 6
         else:
             self.pending[_SCALARS] += 1
@@ -790,16 +977,16 @@ class _Function:
 
     # -- expressions ------------------------------------------------------------
 
-    def nest(self, text: str, kind: str | None, depth: int) -> tuple[str, str | None, int]:
+    def nest(self, text: str, kind: str | None, depth: int, taint=None):
         """``text`` inline, or bound to a temporary once it nests too deep."""
         if depth <= _MAX_EXPR_DEPTH:
-            return text, kind, depth
+            return text, kind, depth, taint
         temp = self.temp()
         self.line(f"{temp} = {text}")
-        return temp, kind, 0
+        return temp, kind, 0, taint
 
-    def expr(self, expr: Expr) -> tuple[str, str | None, int]:
-        """(text, static type, nesting depth) of ``expr``'s value.
+    def expr(self, expr: Expr):
+        """(text, static type, nesting depth, taint) of ``expr``'s value.
 
         Operations that can raise are emitted as statements, in
         evaluation order; the returned text only combines values.
@@ -809,74 +996,93 @@ class _Function:
         if isinstance(expr, Var):
             self.pending[_SCALARS] += 1
             name = expr.name
+            taint = self.taint_of(name)
             if name in self.gen.scalar_names:
-                return self.scalar(name), self.gen.scalar_types.get(name), 0
+                return self.scalar(name), self.gen.scalar_types.get(name), 0, taint
             temp = self.temp()
             self.line(f"{temp} = _read_scalar(scalars, {self.gen.constant(name)})")
-            return temp, None, 0
+            return temp, None, 0, taint
         if isinstance(expr, ArrayRef):
-            index = self.subscript(expr)
-            declared = self.bounds_check(expr, index)
-            self.pending[_READS] += 1
-            if not declared:
-                return "None", None, 0
-            local, _ = self.array(expr.name)
-            kind = self.gen.kind_of(expr.name)
-            return f"{kind}({local}[{index} - 1])", kind, 1
+            return self.load(expr)
         if isinstance(expr, BinOp):
             return self.binop(expr)
         if isinstance(expr, UnaryOp):
             self.pending[_FLOPS] += 1
-            text, kind, depth = self.expr(expr.operand)
+            text, kind, depth, taint = self.expr(expr.operand)
             if expr.op == "not":
-                return self.nest(f"(0 if {text} else 1)", _INT, depth + 1)
-            return self.nest(f"(-{text})", kind, depth + 1)
+                return self.nest(f"(0 if {text} else 1)", _INT, depth + 1, taint)
+            return self.nest(f"(-{text})", kind, depth + 1, taint)
         if isinstance(expr, Call):
             self.pending[_INTRINSICS] += 1
             args = [self.expr(arg) for arg in expr.args]
             temp = self.temp()
             func = self.gen.constant(expr.func)
-            listed = ", ".join(text for text, _, _ in args)
+            listed = ", ".join(arg[0] for arg in args)
             self.line(f"{temp} = _apply_intrinsic({func}, [{listed}])")
-            return temp, _intrinsic_type(expr.func, [kind for _, kind, _ in args]), 0
+            kind = _intrinsic_type(expr.func, [arg[1] for arg in args])
+            return temp, kind, 0, self.union([arg[3] for arg in args])
         raise InterpError(f"cannot compile {type(expr).__name__}")
 
-    def number(self, num: Num) -> tuple[str, str | None, int]:
+    def load(self, ref: ArrayRef):
+        """Emit a load's subscript and checks; return its value."""
+        index = self.subscript(ref)
+        declared = self.bounds_check(ref, index)
+        self.pending[_READS] += 1
+        if not declared:
+            return "None", None, 0, None
+        local, _ = self.array(ref.name)
+        kind = self.gen.kind_of(ref.name)
+        return f"{kind}({local}[{index} - 1])", kind, 1, None
+
+    def taint_of(self, name: str):
+        """The pending reads scalar ``name`` may hold (None: none)."""
+        return None
+
+    def union(self, taints: list):
+        """The taint of a value computed from values with ``taints``."""
+        return None
+
+    def reads(self, taint) -> None:
+        """Report the pending reads of a value that escapes here."""
+        return None
+
+    def number(self, num: Num):
         value = int(num.value) if num.is_int else num.value
         if type(value) is int:
-            return _literal(value), _INT, 0
+            return _literal(value), _INT, 0, None
         if type(value) is float:
             if math.isfinite(value):
-                return _literal(value), _REAL, 0
-            return self.gen.constant(value), _REAL, 0
-        return self.gen.constant(value), None, 0
+                return _literal(value), _REAL, 0, None
+            return self.gen.constant(value), _REAL, 0, None
+        return self.gen.constant(value), None, 0, None
 
-    def binop(self, expr: BinOp) -> tuple[str, str | None, int]:
+    def binop(self, expr: BinOp):
         op = expr.op
         if op in ("and", "or"):
-            return self.logical(expr), _INT, 0
+            return self.logical(expr), _INT, 0, None
         self.pending[_FLOPS] += 1
-        left, left_kind, left_depth = self.expr(expr.left)
-        right, right_kind, right_depth = self.expr(expr.right)
+        left, left_kind, left_depth, left_taint = self.expr(expr.left)
+        right, right_kind, right_depth, right_taint = self.expr(expr.right)
         depth = max(left_depth, right_depth) + 1
+        compare = _COMPARISONS.get(op)
         if op in _ARITHMETIC:
             kind = _numeric_type(left_kind, right_kind)
-            return self.nest(f"({left} {op} {right})", kind, depth)
-        compare = _COMPARISONS.get(op)
-        if compare is not None:
-            return self.nest(f"(1 if {left} {compare} {right} else 0)", _INT, depth)
-        if op == "/":
-            kind = _numeric_type(left_kind, right_kind)
-        elif (
-            op == "**" and left_kind == right_kind == _INT
-            and isinstance(expr.right, Num) and expr.right.value >= 0
-        ):
-            kind = _INT
+            text = f"({left} {op} {right})"
+        elif compare is not None:
+            kind, text = _INT, f"(1 if {left} {compare} {right} else 0)"
         else:
-            kind = None
-        temp = self.temp()
-        self.line(f"{temp} = _apply_binop({self.gen.constant(op)}, {left}, {right})")
-        return temp, kind, 0
+            if op == "/":
+                kind = _numeric_type(left_kind, right_kind)
+            elif (
+                op == "**" and left_kind == right_kind == _INT
+                and isinstance(expr.right, Num) and expr.right.value >= 0
+            ):
+                kind = _INT
+            else:
+                kind = None
+            text, depth = self.temp(), 0
+            self.line(f"{text} = _apply_binop({self.gen.constant(op)}, {left}, {right})")
+        return self.nest(text, kind, depth, self.union([left_taint, right_taint]))
 
     def logical(self, expr: BinOp) -> str:
         """``and``/``or`` into a 1/0 temporary: each right side runs, and
@@ -909,15 +1115,17 @@ class _Function:
         return result
 
     def condition(self, expr: Expr) -> str:
-        """Text whose truth is ``expr != 0``, as a branch tests it."""
+        """Text whose truth is ``expr != 0``, as a branch tests it; the
+        value's pending reads are reported."""
         if isinstance(expr, BinOp):
             if expr.op in ("and", "or"):
                 return self.logical(expr)
             compare = _COMPARISONS.get(expr.op)
             if compare is not None:
                 self.pending[_FLOPS] += 1
-                left, _, _ = self.expr(expr.left)
-                right, _, _ = self.expr(expr.right)
+                left, _, _, left_taint = self.expr(expr.left)
+                right, _, _, right_taint = self.expr(expr.right)
+                self.reads(self.union([left_taint, right_taint]))
                 return f"({left} {compare} {right})"
         if isinstance(expr, UnaryOp) and expr.op == "not":
             self.pending[_FLOPS] += 1
@@ -925,13 +1133,15 @@ class _Function:
             temp = self.temp()
             self.line(f"{temp} = not {inner}")
             return temp
-        text, _, _ = self.expr(expr)
+        text, _, _, taint = self.expr(expr)
+        self.reads(taint)
         return text
 
     def subscript(self, ref: ArrayRef) -> str:
         """Emit a subscript's evaluation and non-integral check; return
         the name or literal holding its integer value."""
-        text, kind, depth = self.expr(ref.index)
+        text, kind, depth, taint = self.expr(ref.index)
+        self.reads(taint)
         if kind != _INT:
             temp = self.temp()
             self.line(f"{temp} = _subscript({text})")
@@ -967,3 +1177,362 @@ class _Function:
             self.line(f"if not 1 <= {index} <= {size}:")
         self.line(f"    _out_of_bounds({index}, {const}, {size})")
         return True
+
+
+# ---------------------------------------------------------------------------
+# The speculative (marked) iteration
+# ---------------------------------------------------------------------------
+
+#: the factory parameter each per-processor row local is taken from:
+#: private data, write stamps and mirror, and reduction partial maps.
+_ROW_SOURCES = {"d": "D", "e": "S", "r": "M", "p": "P"}
+
+
+class _MarkedGenerator(_Generator):
+    """Generates the factory text of one target loop's marked iteration.
+
+    ``m<i>(arrays, D, S, M, P, B, flush, order)`` binds one doall's
+    structures (see :meth:`MarkedLoop.bind`) once and returns the
+    iteration function ``it``; split-off callees are its siblings.
+    Factory locals: ``a<i>``/``n<i>`` an array and its size, ``D``/``S``/
+    ``M``/``P<i>`` its per-processor rows, ``b<i>``/``w<i>`` its mark
+    buffer and the buffer's ``append``.
+    """
+
+    def __init__(self, program, loop, tested, value_based, redux_refs,
+                 private, partial, live_out):
+        super().__init__(program)
+        self.loop = loop
+        self.tested = tested
+        self.value_based = value_based
+        self.redux_refs = redux_refs
+        self.private = private
+        self.partial = partial
+        #: factory lines, the locals they bind, and each array's slot.
+        self.bindings: list[str] = []
+        self.bound: set[str] = set()
+        self.slots: dict[str, int] = {}
+        #: the mark buffers the iteration fills, cleared after each flush.
+        self.buffers: list[str] = []
+        assigns = [
+            stmt for stmt in walk_statements(loop.body)
+            if isinstance(stmt, Assign) and isinstance(stmt.target, Var)
+        ]
+        #: scalars that may hold pending reads: some assignment gives
+        #: them a value computed from a tested load or such a scalar.
+        self.taintable: set[str] = set()
+        changed = value_based
+        while changed:
+            changed = False
+            for stmt in assigns:
+                name = stmt.target.name
+                if name not in self.taintable and self.may_taint(stmt.expr):
+                    self.taintable.add(name)
+                    changed = True
+        #: the taintable live-out scalars, in first-assignment order.
+        self.live_names = [
+            name for name in dict.fromkeys(stmt.target.name for stmt in assigns)
+            if name in self.taintable and name in live_out
+        ]
+
+    def may_taint(self, expr: Expr) -> bool:
+        """Whether ``expr``'s value may carry pending reads (operands of
+        ``and``/``or`` and subscripts report theirs on the spot)."""
+        if isinstance(expr, Var):
+            return expr.name in self.taintable
+        if isinstance(expr, ArrayRef):
+            return expr.name in self.tested and expr.ref_id not in self.redux_refs
+        if isinstance(expr, BinOp):
+            return expr.op not in ("and", "or") and (
+                self.may_taint(expr.left) or self.may_taint(expr.right)
+            )
+        if isinstance(expr, UnaryOp):
+            return self.may_taint(expr.operand)
+        if isinstance(expr, Call):
+            return any(self.may_taint(arg) for arg in expr.args)
+        return False
+
+    def route(self, name: str, op: str | None) -> str:
+        """A site's memory, as the access router dispatches it."""
+        if op is not None and name in self.partial:
+            return "partial"
+        return "private" if name in self.private else "shared"
+
+    def bind(self, local: str, text: str) -> str:
+        """A factory local, bound once per doall."""
+        if local not in self.bound:
+            self.bound.add(local)
+            self.bindings.append(f"{local} = {text}")
+        return local
+
+    def slot(self, name: str) -> int:
+        slot = self.slots.get(name)
+        if slot is None:
+            slot = self.slots[name] = len(self.slots)
+            self.bind(f"a{slot}", f"arrays[{self.constant(name)}]")
+            self.bind(f"n{slot}", f"a{slot}.size")
+        return slot
+
+    def buffer(self, name: str) -> str:
+        """The ``append`` of ``name``'s mark buffer."""
+        slot = self.slot(name)
+        if f"b{slot}" not in self.bound:
+            self.buffers.append(self.bind(f"b{slot}", f"B[{self.constant(name)}]"))
+        return self.bind(f"w{slot}", f"b{slot}.append")
+
+    def split_callee(self, name: str) -> "_Function":
+        return _MarkedFunction(self, name, _MarkedFunction.split_args)
+
+    def factory(self) -> str:
+        it = _MarkedFunction(self, "it", "scalars, proc, position, value")
+        it.iteration(self.loop)
+        functions = [*self.functions, it.finish()]
+        name = self._name("m")
+        out = [f"def {name}(arrays, D, S, M, P, B, flush, order):"]
+        out += ["    " + line for line in self.bindings]
+        out.append("    memo = {}")
+        out += ["    " + line for text in functions for line in text.splitlines()]
+        out.append("    return it")
+        self.functions = ["\n".join(out) + "\n"]
+        return name
+
+
+class _MarkedFunction(_Function):
+    """One function of a marked iteration: accesses routed to the
+    doall's structures, marks buffered, value-based taints tracked.
+
+    Extra locals: ``d``/``e``/``r<i>`` the processor's private data,
+    write-stamp and mirror rows, ``p<i>`` its partial map, ``x<i>`` a
+    scalar's pending reads (None, or the walker's frozenset), ``q`` the
+    next mark position.  A taint is None, ``(array, index)`` for the one
+    read of a tested load, or a local holding None or a frozenset; the
+    frozensets are built by the walker's own sequence of unions, so
+    they iterate, and report their reads, in the walker's order.
+    """
+
+    split_args = "scalars, taints, proc, position, q"
+
+    def __init__(self, gen: _MarkedGenerator, name: str, params: str):
+        super().__init__(gen, name, params)
+        self.blocks = 2  # the ``try`` and, in ``it``, its ``except``
+        self.epilogue = ["return (c0, c1, c2, c3, c4, c5, q)"]
+        #: row local -> its per-call binding.
+        self.rows: dict[str, str] = {}
+        #: scalar name -> (taint local, constant)
+        self.taints: dict[str, tuple[str, str]] = {}
+        #: scalar names whose taint this function (or a callee) sets.
+        self.taint_written: set[str] = set()
+        self.is_iteration = False
+        self.splits = False
+
+    def array(self, name: str) -> tuple[str, str]:
+        slot = self.gen.slot(name)
+        return f"a{slot}", f"n{slot}"
+
+    def row(self, prefix: str, name: str) -> str:
+        slot = self.gen.slot(name)
+        local = f"{prefix}{slot}"
+        if local not in self.rows:
+            source = _ROW_SOURCES[prefix]
+            outer = self.gen.bind(f"{source}{slot}", f"{source}[{self.gen.constant(name)}]")
+            self.rows[local] = f"{outer}[proc]"
+        return local
+
+    def taint_local(self, name: str, write: bool = False) -> str:
+        entry = self.taints.get(name)
+        if entry is None:
+            entry = self.taints[name] = (
+                f"x{len(self.taints)}", self.gen.constant(name)
+            )
+        if write:
+            self.taint_written.add(name)
+        return entry[0]
+
+    # -- the function frame -------------------------------------------------------
+
+    def iteration(self, loop: Do) -> None:
+        """The body of the iteration function ``it``: set the loop
+        variable, run the body, report the live-out scalars' reads, flush
+        the marks and return the iteration's cost."""
+        gen = self.gen
+        self.is_iteration = True
+        self.set_iteration_var(loop.var)
+        self.block(loop.body)
+        live = [self.taint_local(name) for name in gen.live_names]
+        if len(live) == 1:
+            self.reads(live[0])
+        elif live:
+            self.flush_q()
+            self.line(f"live = ({', '.join(live)})")
+            self.line("for j in order:")
+            self.line("    if live[j]:")
+            self.line("        q = _reads(live[j], B, q)")
+        self.flush()
+        counters = "c0, c1, c2, c3, c4, c5"
+        if gen.tested:
+            self.prologue.append("q = 0")
+            # The walker marks as it goes: an iteration that raises has
+            # marked what it reached, and an eager conflict among those
+            # marks is raised first.
+            self.handler = ["    except BaseException:", "        flush(B)", "        raise"]
+            self.epilogue = ["if q:", "    flush(B)"]
+            self.epilogue += [f"    {buffer}.clear()" for buffer in gen.buffers]
+            marks = "q"
+        else:
+            self.epilogue = []
+            marks = "0"
+        self.epilogue += [
+            f"key = ({counters}, {marks})",
+            "ic = memo.get(key)",
+            "if ic is None:",
+            f"    ic = memo[key] = _IterationCost({counters}, {marks})",
+            "return ic",
+        ]
+
+    def entry(self) -> list[str]:
+        out = [f"{local} = {source}" for local, source in self.rows.items()]
+        out += [f"{local} = scalars[{const}]" for local, const in self.scalars.values()]
+        if self.is_iteration:
+            out += [f"{local} = None" for local, _ in self.taints.values()]
+            if self.splits:
+                out.append("taints = {}")
+        else:
+            out += [f"{local} = taints.get({const})" for local, const in self.taints.values()]
+        return out + self.prologue
+
+    def _exit_lines(self) -> list[str]:
+        out = self._store_lines(self.written, 2)
+        if not self.is_iteration:
+            out += self._taint_lines(2)
+        return out
+
+    def _taint_lines(self, indent: int) -> list[str]:
+        pad = "    " * indent
+        return [
+            f"{pad}taints[{const}] = {local}"
+            for name, (local, const) in self.taints.items()
+            if name in self.taint_written
+        ]
+
+    def _spill_lines(self, indent: int, callee: "_Function | None") -> list[str]:
+        if callee is None:
+            return self._store_lines(self.written, indent) + self._taint_lines(indent) or [
+                "    " * indent + "pass"
+            ]
+        pad = "    " * indent
+        return super()._spill_lines(indent, callee) + [
+            f"{pad}{local} = taints.get({const})"
+            for name, (local, const) in self.taints.items()
+            if name in callee.taint_written
+        ]
+
+    def after_split(self, callee: "_Function", result: str) -> None:
+        self.line(f"q = {result}[6]")
+        self.taint_written |= callee.taint_written
+        self.splits = True
+
+    # -- routed accesses and marks --------------------------------------------------
+
+    def mark(self, name: str, kind: int, index: str, opcode: int) -> None:
+        append = self.gen.buffer(name)
+        position = f"q + {self.qpend}" if self.qpend else "q"
+        self.line(f"{append}(({position}, {kind}, {index} - 1, {opcode}))")
+        self.qpend += 1
+
+    def load(self, ref: ArrayRef):
+        index = self.subscript(ref)
+        declared = self.bounds_check(ref, index)
+        self.pending[_READS] += 1
+        if not declared:
+            return "None", None, 0, None
+        gen, name = self.gen, ref.name
+        op = gen.redux_refs.get(ref.ref_id)
+        route = gen.route(name, op)
+        if route == "partial":
+            identity = gen.constant((op, REDUCTION_IDENTITY[op]))
+            text, kind = f"{self.row('p', name)}.get({index} - 1, {identity})[1]", None
+        elif route == "private":
+            text, kind = f"{self.row('r', name)}[{index} - 1]", gen.kind_of(name)
+        else:
+            local, _ = self.array(name)
+            kind = gen.kind_of(name)
+            text = f"{kind}({local}[{index} - 1])"
+        taint = None
+        if name in gen.tested:
+            if op is not None:
+                self.mark(name, KIND_REDUX, index, OP_CODES[op])
+            elif gen.value_based:
+                gen.buffer(name)
+                taint = (name, index)
+            else:
+                self.mark(name, KIND_READ, index, 0)
+        return text, kind, 1, taint
+
+    def store(self, ref: ArrayRef, index: str, text: str, kind: str | None) -> None:
+        if not self.bounds_check(ref, index):
+            return
+        gen, name = self.gen, ref.name
+        op = gen.redux_refs.get(ref.ref_id)
+        route = gen.route(name, op)
+        offset = f"{index} - 1"
+        if route == "partial":
+            self.line(f"{self.row('p', name)}[{offset}] = ({gen.constant(op)}, {text})")
+        elif route == "private":
+            if not text.isidentifier():
+                value, text = text, self.temp()
+                self.line(f"{text} = {value}")
+            declared = gen.kind_of(name)
+            self.line(f"{self.row('d', name)}[{offset}] = {text}")
+            self.line(f"{self.row('e', name)}[{offset}] = position")
+            mirrored = text if kind == declared else f"{declared}({text})"
+            self.line(f"{self.row('r', name)}[{offset}] = {mirrored}")
+        else:
+            super().store(ref, index, text, kind)
+        if name in gen.tested:
+            if op is None:
+                self.mark(name, KIND_WRITE, index, 0)
+            else:
+                self.mark(name, KIND_REDUX, index, OP_CODES[op])
+
+    # -- taints ---------------------------------------------------------------------
+
+    def taint_of(self, name: str):
+        return self.taint_local(name) if name in self.gen.taintable else None
+
+    def materialize(self, taint) -> str:
+        if taint is None:
+            return "None"
+        if isinstance(taint, tuple):
+            name, index = taint
+            return f"frozenset((({self.gen.constant(name)}, {index}),))"
+        return taint
+
+    def union(self, taints: list):
+        present = [taint for taint in taints if taint is not None]
+        if len(present) == 1 and isinstance(present[0], tuple):
+            return present[0]  # one read joined onto nothing is itself
+        if not present:
+            return None
+        temp = self.temp()
+        if len(present) > 1:
+            self.line(f"{temp} = _union({', '.join(map(self.materialize, present))})")
+        else:
+            self.line(f"{temp} = _EMPTY | {present[0]} if {present[0]} else None")
+        return temp
+
+    def reads(self, taint) -> None:
+        if taint is None:
+            return
+        if isinstance(taint, tuple):
+            self.mark(taint[0], KIND_READ, taint[1], 0)
+            return
+        self.flush_q()
+        self.line(f"q = _reads({taint}, B, q) if {taint} else q")
+
+    def store_scalar(self, name: str, text: str, kind: str | None, taint) -> None:
+        if name in self.gen.taintable:
+            # Before the value: the value may overwrite the subscript
+            # local a pending read refers to.
+            local = self.taint_local(name, write=True)
+            self.line(f"{local} = {self.materialize(taint)}")
+        super().store_scalar(name, text, kind, taint)

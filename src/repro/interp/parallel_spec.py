@@ -20,6 +20,11 @@ the parent needs to reconstruct a bit-identical
   engine brackets them, including the discarded bracket of an eagerly
   aborted iteration.
 
+Iterations run the loop's generated marked iteration
+(:meth:`~repro.interp.compiled.CompiledProgram.marked_loop` on the
+spec's compiled program: generated once per spec and worker process,
+bound per task), unless a whole-block lowering takes the task.
+
 Everything here is deliberately single-process and deterministic — the
 module has no multiprocessing dependency, which is what lets the parity
 suite drive a shard in-process and compare it mark-for-mark against the
@@ -38,11 +43,10 @@ from repro.core.shadow import Granularity, ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
 from repro.errors import SpeculationFailed
 from repro.analysis.vectorize import classify_loop
-from repro.interp.compiled_spec import CompiledSpecLoop
-from repro.interp.costs import CostCounter, IterationCost
+from repro.interp.compiled import CompiledProgram, compile_program
+from repro.interp.costs import IterationCost
 from repro.interp.vectorized_spec import VectorizeBail, execute_vectorized_block
 from repro.interp.env import Environment
-from repro.runtime.access_router import AccessRouter
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,11 @@ class ShardSpec:
     """Static per-loop configuration, fixed for a worker pool's lifetime.
 
     Everything that does not change between doalls of the same target
-    loop: the program, the transform plan's array classification and the
-    virtual-processor count.  Shipped to workers once (inherited through
-    ``fork``), while the per-doall state travels in :class:`ShardTask`.
+    loop: the program (and its compilation, which keeps the loop's
+    generated iteration for every task), the transform plan's array
+    classification and the virtual-processor count.  Shipped to workers
+    once (inherited through ``fork``), while the per-doall state travels
+    in :class:`ShardTask`.
     """
 
     program: Program
@@ -66,10 +72,12 @@ class ShardSpec:
     inplace_arrays: tuple[str, ...]
     num_procs: int
     shadow_sizes: dict[str, int]
+    compiled: CompiledProgram = field(compare=False, repr=False)
 
     @classmethod
     def from_plan(cls, program: Program, loop: Do, plan, env: Environment,
-                  num_procs: int) -> "ShardSpec":
+                  num_procs: int,
+                  compiled: CompiledProgram | None = None) -> "ShardSpec":
         inplace = tuple(sorted(
             set(plan.checkpoint_arrays)
             - set(plan.tested_arrays)
@@ -88,6 +96,7 @@ class ShardSpec:
             shadow_sizes={
                 name: env.array_size(name) for name in sorted(plan.tested_arrays)
             },
+            compiled=compiled if compiled is not None else compile_program(program),
         )
 
 
@@ -158,8 +167,6 @@ def execute_shard(
         name: ReductionPartials(name, spec.num_procs)
         for name in sorted(spec.reduction_arrays)
     }
-    router = AccessRouter(env, privates, partials, spec.redux_refs)
-
     baselines = {name: env.arrays[name].copy() for name in spec.inplace_arrays}
 
     proc_envs: dict[int, Environment] = {}
@@ -230,15 +237,14 @@ def execute_shard(
         # The block attempt committed nothing: run the owned processors
         # per-iteration on the compiled engine over the same structures.
 
-    spec_loop = CompiledSpecLoop(
-        spec.program, spec.loop,
-        tested=tested, value_based=task.value_based, redux_refs=spec.redux_refs,
-        privates=privates, partials=partials, shared_env=env,
+    iteration = spec.compiled.marked_loop(
+        spec.loop, tested=tested, value_based=task.value_based,
+        redux_refs=spec.redux_refs, private=privates, partial=partials,
+        live_out=spec.live_out_scalars,
+    ).bind(
+        env.arrays, privates, partials, marker if task.marking else None,
+        spec.live_out_scalars,
     )
-    runtimes = {
-        proc: spec_loop.new_runtime(proc_envs[proc], router, CostCounter(), proc=proc)
-        for proc in task.procs
-    }
 
     iteration_costs: list[tuple[int, IterationCost]] = []
     pointers = {proc: 0 for proc in task.procs}
@@ -253,9 +259,6 @@ def execute_shard(
             position = task.assignment[proc][pointers[proc]]
             pointers[proc] += 1
             remaining -= 1
-            rt = runtimes[proc]
-            rt.iteration = position
-            router.set_context(proc, position)
             if marker is not None:
                 granule = (
                     position
@@ -263,11 +266,9 @@ def execute_shard(
                     else proc
                 )
                 marker.set_granule(granule)
-                marker.cost = rt.cost
             try:
-                spec_loop.run_iteration(
-                    rt, marker if task.marking else None,
-                    values[position], spec.live_out_scalars,
+                cost = iteration(
+                    proc_envs[proc].scalars, proc, position, values[position]
                 )
             except SpeculationFailed:
                 # Local on-the-fly detection: a conflict within this
@@ -275,7 +276,7 @@ def execute_shard(
                 # (the merge only adds marks), so the shard stops here.
                 aborted = True
                 break
-            iteration_costs.append((position, rt.cost.iteration_costs[-1]))
+            iteration_costs.append((position, cost))
             executed += 1
 
     shared_writes: dict[str, tuple[np.ndarray, np.ndarray]] = {}

@@ -32,6 +32,7 @@ from repro.core.privatize import PrivateCopies
 from repro.core.reduction_exec import COMBINE, REDUCTION_IDENTITY, ReductionPartials
 from repro.core.shadow import ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
+from repro.interp.compiled import CompiledProgram
 from repro.interp.costs import IterationCost
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
@@ -95,6 +96,7 @@ def run_doall(
     profiles=None,
     loop_key: str | None = None,
     need_costs: bool = True,
+    compiled: CompiledProgram | None = None,
 ) -> DoallRun:
     """Execute the target loop as an emulated doall.
 
@@ -106,8 +108,8 @@ def run_doall(
     to fold private state back in after a successful test.
 
     ``engine`` names a registered execution engine (see
-    :mod:`repro.runtime.engines`): ``"compiled"`` (the closure-compiled
-    speculative engine with batched marking), ``"walk"`` (the per-access
+    :mod:`repro.runtime.engines`): ``"compiled"`` (generated Python
+    with batched marking), ``"walk"`` (the per-access
     instrumented tree walker), ``"vectorized"`` (the whole-block NumPy
     lowering; classifier-rejected loops and runtime bails walk the
     declared fallback chain to ``"compiled"`` with the reason on the
@@ -138,6 +140,9 @@ def run_doall(
     ``need_costs=False`` tells engines the caller will not read
     ``iteration_costs`` (schedule reuse with memoized times); engines
     with separable accounting skip it.
+
+    ``compiled`` is ``program`` compiled by the caller; the engines that
+    run generated code keep their loop text on it across doalls.
     """
     # Imported lazily: the engine implementations import DoallRun from
     # this module.
@@ -165,6 +170,7 @@ def run_doall(
         profiles=profiles,
         loop_key=loop_key,
         need_costs=need_costs,
+        compiled=compiled,
     )
     return execute_doall(ctx, engine)
 

@@ -1,7 +1,7 @@
 """The execution-engine protocol: capabilities, context, fallback.
 
 Every doall body executor — the reference tree walker, the
-closure-compiled fast path, the vectorized whole-block lowering, the
+compiled fast path, the vectorized whole-block lowering, the
 multiprocess backend and the ``auto`` planner — implements
 :class:`ExecutionEngine` and registers itself in
 :mod:`repro.runtime.engines.registry`.  The rest of the runtime never
@@ -118,6 +118,9 @@ class DoallContext:
     #: empty cost list.  Engines with accounting interleaved into
     #: execution simply ignore the hint.
     need_costs: bool = True
+    #: ``program`` compiled, when the caller keeps one (a runner does):
+    #: engines that run generated code memoize their loop text on it.
+    compiled: Optional["CompiledProgram"] = None
 
 
 class ExecutionEngine(abc.ABC):

@@ -1,18 +1,19 @@
-"""The closure-compiled engine (``engine="compiled"``, the default).
+"""The compiled engine (``engine="compiled"``, the default).
 
-The loop body is compiled once into per-node closures with direct
-structure binding and batched shadow marking
-(:mod:`repro.interp.compiled_spec`); iterations then run without tree
-dispatch.  Bit-identical to the walker on every observable — state,
-operation counts, shadow marks — just faster.  Its serial executor runs
-the program as generated Python (:mod:`repro.interp.compiled`), on the
-caller's compiled program when it passes one.
+Both of its executors run generated Python (:mod:`repro.interp.compiled`).
+A doall runs the target loop's marked iteration: generated once per
+loop and configuration, memoized on the caller's compiled program (the
+doall context's, else one compiled here), and bound per doall to the
+private copies, reduction partials, shared arrays and shadow marker.
+Iterations then run without tree dispatch, with each iteration's marks
+buffered and flushed at its end.  Bit-identical to the walker on every
+observable — state, operation counts, shadow marks — just faster.  The
+serial executor runs the program's generated statements and loop.
 """
 
 from __future__ import annotations
 
 from repro.interp.compiled import CompiledProgram, compile_program
-from repro.interp.compiled_spec import CompiledSpecLoop
 from repro.interp.costs import CostCounter
 from repro.interp.interpreter import Interpreter
 from repro.machine.costmodel import CostModel
@@ -26,33 +27,30 @@ from repro.runtime.serial import loop_iteration_values
 class CompiledEngine(EmulatedEngine):
     name = "compiled"
     caps = EngineCaps(supports_serial=True)
-    summary = "per-node compiled closures, batched shadow marking"
-    guarantee = "bit-identical to `walk`, ~2x faster"
+    summary = "generated Python per loop, batched shadow marking"
+    guarantee = "bit-identical to `walk`, ~3x faster"
 
     def _executors(self, ctx: DoallContext, state: EmulationState):
-        spec = CompiledSpecLoop(
-            ctx.program, ctx.loop,
-            tested=state.tested, value_based=ctx.value_based,
-            redux_refs=ctx.plan.redux_refs,
-            privates=state.privates, partials=state.partials,
-            shared_env=ctx.env,
+        compiled = ctx.compiled if ctx.compiled is not None else compile_program(ctx.program)
+        plan = ctx.plan
+        iteration = compiled.marked_loop(
+            ctx.loop, tested=state.tested, value_based=ctx.value_based,
+            redux_refs=plan.redux_refs, private=state.privates,
+            partial=state.partials, live_out=plan.live_out_scalars,
+        ).bind(
+            ctx.env.arrays, state.privates, state.partials, ctx.marker,
+            plan.live_out_scalars,
         )
-        runtimes = [
-            spec.new_runtime(proc_env, state.router, CostCounter(), proc=proc)
-            for proc, proc_env in enumerate(state.proc_envs)
-        ]
-
-        def proc_cost(proc: int) -> CostCounter:
-            return runtimes[proc].cost
+        costs = [CostCounter() for _ in state.proc_envs]
+        scalars = [proc_env.scalars for proc_env in state.proc_envs]
+        values = ctx.values
 
         def execute(proc: int, position: int) -> None:
-            rt = runtimes[proc]
-            rt.iteration = position
-            spec.run_iteration(
-                rt, ctx.marker, ctx.values[position], ctx.plan.live_out_scalars
+            costs[proc].iteration_costs.append(
+                iteration(scalars[proc], proc, position, values[position])
             )
 
-        return proc_cost, execute
+        return costs.__getitem__, execute
 
     def execute_serial(
         self, program, env, model: CostModel, loop, before, after, *,

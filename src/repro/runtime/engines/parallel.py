@@ -40,7 +40,7 @@ class ParallelEngine(ExecutionEngine):
             marker=ctx.marker, value_based=ctx.value_based,
             schedule=ctx.schedule, values=ctx.values,
             workers=ctx.workers, pool=ctx.pool,
-            whole_block=False, backend=ctx.backend,
+            whole_block=False, backend=ctx.backend, compiled=ctx.compiled,
         )
         run.engine_used = self.name
         return run

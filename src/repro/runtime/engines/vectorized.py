@@ -40,7 +40,7 @@ class VectorizedEngine(ExecutionEngine):
         "gates eligibility, rejects fall back to `compiled` with the "
         "reason reported (`--verbose`)"
     )
-    guarantee = "bit-identical to `compiled`, ≥3x faster on eligible loops"
+    guarantee = "bit-identical to `compiled`, ≥1.5x faster on eligible loops"
 
     def execute_doall(self, ctx: DoallContext) -> DoallRun:
         if ctx.workers is not None or ctx.pool is not None:
@@ -54,7 +54,7 @@ class VectorizedEngine(ExecutionEngine):
                 marker=ctx.marker, value_based=ctx.value_based,
                 schedule=ctx.schedule, values=ctx.values,
                 workers=ctx.workers, pool=ctx.pool,
-                whole_block=True, backend=ctx.backend,
+                whole_block=True, backend=ctx.backend, compiled=ctx.compiled,
             )
 
         decision = classify_loop(ctx.program, ctx.loop, ctx.plan)

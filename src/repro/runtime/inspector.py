@@ -31,6 +31,7 @@ from repro.core.outcomes import LrpdResult, TestMode
 from repro.core.shadow import Granularity, ShadowMarker
 from repro.dsl.ast_nodes import ArrayRef, Assign, Do, Program, walk_expressions
 from repro.errors import InterpError
+from repro.interp.compiled import CompiledProgram
 from repro.interp.costs import CostCounter, IterationCost
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
@@ -199,6 +200,7 @@ def run_inspector_executor(
     backend: str = "fork",
     profiles=None,
     loop_key: str | None = None,
+    compiled: CompiledProgram | None = None,
 ) -> InspectorOutcome:
     """Inspector → test → (parallel executor | serial loop).
 
@@ -207,6 +209,7 @@ def run_inspector_executor(
     caller-owned persistent worker pool); the marking inspector itself
     always runs the sliced tree walker (it executes only the
     address/control slice, which the compiler does not handle).
+    ``compiled`` is ``program`` compiled, for the executor or serial run.
     """
     times = TimeBreakdown()
     stats: dict[str, float] = {}
@@ -236,6 +239,7 @@ def run_inspector_executor(
         program, loop, env, plan, sim, result.passed, times, wall,
         schedule=schedule, engine=engine, workers=workers, pool=pool,
         backend=backend, profiles=profiles, loop_key=loop_key,
+        compiled=compiled,
     )
     outcome = InspectorOutcome(result=result, times=times, stats=stats, wall=wall)
     if run is not None:

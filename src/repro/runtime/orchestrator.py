@@ -93,7 +93,7 @@ class RunConfig:
     #: iteration-wise directional LRPD configuration.
     eager_failure_detection: bool = False
     #: doall iteration executor — any engine registered in
-    #: :mod:`repro.runtime.engines`: "compiled" (closure-compiled,
+    #: :mod:`repro.runtime.engines`: "compiled" (generated Python,
     #: batched marking), "walk" (the reference tree walker), "parallel"
     #: (real worker processes with shared-memory shadows,
     #: :mod:`repro.runtime.parallel_backend`), "vectorized" (whole-block
@@ -352,7 +352,8 @@ class LoopRunner:
         key = (self._loop_key(), sim.num_procs, workers, config.backend)
         return self.pools.get(key, lambda: make_worker_pool(
             ShardSpec.from_plan(
-                self.program, self.loop, self.plan, env, sim.num_procs
+                self.program, self.loop, self.plan, env, sim.num_procs,
+                self._compiled_program(),
             ),
             workers,
             config.backend,
@@ -588,7 +589,7 @@ class LoopRunner:
             workers=reuse_workers, pool=pool, backend=config.backend,
             profiles=self.profiles, loop_key=self._loop_key(),
             need_costs=memo is None,
-            compiled=None if cached.passed else self._compiled_program(),
+            compiled=self._compiled_program(),
         )
         fallback_reason = engine_used = engine_decision = None
         if run is not None:
@@ -643,6 +644,7 @@ class LoopRunner:
             backend=config.backend,
             profiles=self.profiles,
             loop_key=self._loop_key(),
+            compiled=self._compiled_program(),
         )
         self._finish(env)
         return ExecutionReport(

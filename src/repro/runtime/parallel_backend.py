@@ -29,9 +29,9 @@ verdict (always "fail", guaranteed by mark monotonicity under the
 merge) and the post-protocol environment are comparable there.
 
 Workers are forked (``fork`` start method) so the shared-memory views
-and the compiled loop spec are inherited, not pickled; a persistent
-:class:`WorkerPool` amortizes the fork across the strips of a
-strip-mined run.  Segment teardown is robust: :meth:`WorkerPool.close`
+and the shard spec, with its compiled program, are inherited, not
+pickled; a persistent :class:`WorkerPool` amortizes the fork across the
+strips of a strip-mined run.  Segment teardown is robust: :meth:`WorkerPool.close`
 unlinks every segment even when a strip aborted or a worker raised, so
 no ``/dev/shm`` segments outlive the pool.
 
@@ -61,6 +61,7 @@ from repro.core.reduction_exec import REDUCTION_IDENTITY, ReductionPartials
 from repro.core.shadow import SHADOW_FIELDS, Granularity, ShadowArray, ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
 from repro.errors import InterpError
+from repro.interp.compiled import CompiledProgram
 from repro.interp.costs import IterationCost
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
@@ -518,6 +519,7 @@ def run_parallel_doall(
     pool: WorkerPool | ThreadWorkerPool | None = None,
     whole_block: bool = False,
     backend: str = DEFAULT_BACKEND,
+    compiled: CompiledProgram | None = None,
 ) -> DoallRun:
     """Execute the marked doall on real worker processes.
 
@@ -539,7 +541,8 @@ def run_parallel_doall(
     :class:`ThreadWorkerPool` (the strip pipeline passes one); otherwise
     an ephemeral pool of ``workers`` workers (default: one per usable
     core) of the requested ``backend`` flavour is built and torn down
-    around this single doall.
+    around this single doall, its shards running on ``compiled``
+    (``program`` compiled, compiled here when None).
     """
     if values is None:
         bounds_interp = Interpreter(program, env, value_based=False)
@@ -553,7 +556,7 @@ def run_parallel_doall(
 
     owned_pool = None
     if pool is None:
-        spec = ShardSpec.from_plan(program, loop, plan, env, num_procs)
+        spec = ShardSpec.from_plan(program, loop, plan, env, num_procs, compiled)
         owned_pool = pool = make_worker_pool(
             spec,
             workers if workers is not None else default_workers(num_procs),

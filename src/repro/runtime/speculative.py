@@ -250,26 +250,27 @@ def run_with_verdict(
     The inspector's executor half, schedule reuse and refused runs end
     here.  A passed verdict runs an unmarked doall (the privatization
     and reduction transforms still apply, they are semantic) and commits
-    it; a failed or refused one runs the loop serially, on ``compiled``
-    (``program`` compiled here when None).  No checkpoint is taken:
-    nothing speculative runs.  ``doall_options`` go to
+    it; a failed or refused one runs the loop serially.  Both run on
+    ``compiled`` (``program`` compiled here when None).  No checkpoint
+    is taken: nothing speculative runs.  ``doall_options`` go to
     :func:`~repro.runtime.doall.run_doall`; pricing the doall is the
     caller's (see :func:`price_doall`).  Returns the doall run and its
     commit counts, both None after a serial run.
     """
     values, step, exit_value = loop_values(program, loop, env)
+    if compiled is None:
+        compiled = compile_program(program)
     run = finalize = None
     if passed:
         tick = time.perf_counter()
         run = run_doall(
             program, loop, env, plan, sim.num_procs, marker=None,
-            value_based=False, values=values, **doall_options,
+            value_based=False, values=values, compiled=compiled,
+            **doall_options,
         )
         wall.doall += time.perf_counter() - tick
         finalize = commit(run, env, plan, sim, times, wall)
     else:
-        if compiled is None:
-            compiled = compile_program(program)
         roll_back(compiled, loop, env, values, step, sim, times, wall)
     env.set_scalar(loop.var, exit_value)
     return run, finalize
@@ -389,8 +390,8 @@ class PipelineOutcome:
     stats: dict[str, float] = field(default_factory=dict)
     #: the (recyclable) shadow marker of the last attempt.
     marker: ShadowMarker | None = None
-    #: the program compiled for the serial re-runs (recyclable like
-    #: ``marker``); None when nothing rolled back and none was passed in.
+    #: the program compiled for the doalls and serial re-runs
+    #: (recyclable like ``marker``); None for a strip-mined zero-trip loop.
     compiled: CompiledProgram | None = None
     #: measured wall-clock phase durations, summed over the attempts.
     wall: WallClock = field(default_factory=WallClock)
@@ -449,9 +450,9 @@ class SpeculationPipeline:
     recycles a previous run's shadow buffers (reset in place instead of
     reallocating seven numpy arrays per tested array); it must have been
     built for the same tested arrays and sizes, else a fresh one is made.
-    Rollbacks re-run on the compiled serial executor: ``compiled``
-    recycles a previous run's compiled program, else the program is
-    compiled at the first rollback and reused by every later one.
+    The doalls and the rollback re-runs share one compiled program:
+    ``compiled`` recycles a previous run's, else the program is
+    compiled at the first attempt and reused by every later one.
     """
 
     def __init__(
@@ -525,7 +526,7 @@ class SpeculationPipeline:
         return marker
 
     def _compiled_program(self) -> CompiledProgram:
-        """The program compiled for serial re-runs, at first use."""
+        """The program compiled for the doalls and re-runs, at first use."""
         if self._compiled is None:
             self._compiled = compile_program(self.program)
         return self._compiled
@@ -579,7 +580,8 @@ class SpeculationPipeline:
             )
 
             spec = ShardSpec.from_plan(
-                self.program, self.loop, self.plan, self.env, self.sim.num_procs
+                self.program, self.loop, self.plan, self.env, self.sim.num_procs,
+                self._compiled_program(),
             )
             owned = make_worker_pool(
                 spec,
@@ -671,6 +673,7 @@ class SpeculationPipeline:
                 backend=self.backend,
                 profiles=self.profiles,
                 loop_key=self.loop_key,
+                compiled=self._compiled_program(),
             )
             wall.doall += time.perf_counter() - tick
             price_doall(sim, run, self.schedule, times)

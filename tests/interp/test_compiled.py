@@ -1,4 +1,4 @@
-"""Compiled serial engine: unit tests + equivalence with the walker."""
+"""Compiled engine: unit tests + equivalence with the walker."""
 
 import sys
 import threading
@@ -6,16 +6,22 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis.instrument import build_plan
 from repro.dsl.ast_nodes import Assign, BinOp, If, Num, Program, ScalarDecl, Var
 from repro.dsl.parser import parse
 from repro.errors import InterpError
 from repro.interp import compiled as compiled_module
-from repro.interp.compiled import compile_program
+from repro.interp.compiled import compile_program, generate_marked_loop
 from repro.interp.costs import CostCounter
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter, find_target_loop
-from repro.machine.costmodel import CostModel
+from repro.machine.costmodel import CostModel, fx80
+from repro.machine.schedule import ScheduleKind
+from repro.machine.simulator import DoallSimulator
+from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.serial import run_serial
+from repro.runtime.speculative import SpeculationPipeline
+from repro.workloads.track import build_track
 
 
 def run_both(source, inputs):
@@ -292,3 +298,126 @@ class TestGeneratedSource:
         assert not any(thread.is_alive() for thread in threads)
         assert len(done) == len(threads)
         assert failures == []
+
+
+def _speculate(source: str, inputs: dict, engine: str, **options):
+    program = parse(source)
+    plan = build_plan(program)
+    env = Environment(program, inputs)
+    sim = DoallSimulator(fx80().with_procs(3), ScheduleKind.BLOCK)
+    outcome = SpeculationPipeline(
+        program, plan.loop, env, plan, sim, engine=engine, **options
+    ).run()
+    return outcome, env
+
+
+def assert_speculation_matches_the_walker(source: str, inputs: dict, **options):
+    walked, walk_env = _speculate(source, inputs, "walk", **options)
+    generated, env = _speculate(source, inputs, "compiled", **options)
+    assert generated.result == walked.result
+    assert generated.times == walked.times
+    assert generated.stats == walked.stats
+    assert generated.run.iteration_costs == walked.run.iteration_costs
+    assert env.scalars == walk_env.scalars
+    for name, array in walk_env.arrays.items():
+        np.testing.assert_array_equal(env.arrays[name], array)
+    return generated
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Every marked-loop generation, in order."""
+    calls = []
+
+    def counting(program, loop, **options):
+        calls.append(loop)
+        return generate_marked_loop(program, loop, **options)
+
+    monkeypatch.setattr(compiled_module, "generate_marked_loop", counting)
+    return calls
+
+
+MARKED = (
+    "program p\n  integer i, k, n\n  real a(12), b(12), w(4), s\n  integer idx(12)\n"
+    "  do i = 1, n\n"
+    "    k = idx(i)\n"
+    "    w(1) = a(k) * 0.5\n"
+    "    w(2) = w(1) + a(i) * w(1)\n"
+    "    if (w(2) > s) then\n      b(k) = w(2) - w(1)\n    else\n      b(k) = s\n    end if\n"
+    "    s = s + b(k)\n"
+    "  end do\nend\n"
+)
+MARKED_INPUTS = {
+    "n": 12, "a": np.linspace(-1.0, 2.0, 12), "s": 0.5,
+    "idx": np.array([3, 1, 12, 5, 2, 8, 4, 11, 7, 6, 10, 9]),
+}
+
+
+class TestGeneratedMarkedLoop:
+    """The speculative iteration: one text per loop shape, the CPython
+    limits inside a marked body, and one generation per configuration."""
+
+    @staticmethod
+    def _marked_source(source: str) -> str:
+        program = parse(source)
+        plan = build_plan(program)
+        return compile_program(program).marked_loop(
+            plan.loop, tested=plan.tested_arrays, value_based=True,
+            redux_refs=plan.redux_refs, private=plan.tested_arrays,
+            partial=plan.reduction_arrays, live_out=plan.live_out_scalars,
+        ).source
+
+    def test_loops_differing_only_in_names_generate_identical_marked_source(self):
+        renamed = (
+            MARKED.replace("idx", "perm").replace("w(", "tmp(").replace("w(4)", "tmp(4)")
+            .replace("a(", "src(").replace("b(", "dst(").replace(" s\n", " acc\n")
+            .replace("s + ", "acc + ").replace("> s", "> acc").replace("= s\n", "= acc\n")
+            .replace("    s = ", "    acc = ").replace("program p", "program other")
+        )
+        assert "acc" in renamed and "tmp" in renamed
+        first = self._marked_source(MARKED)
+        assert first == self._marked_source(renamed)
+        for name in ("idx", "perm", "tmp", "src", "dst", "acc", "other"):
+            assert name not in first
+
+    def test_a_marked_loop_matches_the_walker(self):
+        assert_speculation_matches_the_walker(MARKED, MARKED_INPUTS)
+        assert_speculation_matches_the_walker(MARKED, MARKED_INPUTS, eager=True)
+
+    def test_a_25_deep_nest_in_a_marked_body_matches_the_walker(self):
+        source = _nest(25).replace(
+            "  real s\n", "  real s, a(40), b(3)\n"
+        ).replace(
+            "  s = s + real(i0 + i2)\n",
+            "  s = s + a(i2 + 1) * 0.5\n  a(i0 * 10 + i1 + 1) = s\n",
+        ).replace("  s = s * 0.5\n", "  b(i0 + 1) = s * 0.5\n")
+        assert "\n    def g" in self._marked_source(source)  # the nest is split off
+        assert_speculation_matches_the_walker(source, {"a": np.linspace(0.0, 1.0, 40)})
+
+    def test_a_400_term_expression_in_a_marked_body_matches_the_walker(self):
+        terms = " + ".join(f"a({k % 5 + 1}) * {k}.5" for k in range(400))
+        source = (
+            "program p\n  integer i\n  real a(5), b(8), s\n  do i = 1, 8\n"
+            f"    s = {terms}\n    b(i) = s\n    a(mod(i, 5) + 1) = s * 0.001\n"
+            "  end do\nend\n"
+        )
+        assert_speculation_matches_the_walker(source, {"a": np.arange(1.0, 6.0)})
+
+    def test_a_strip_mined_run_generates_its_marked_loop_once(self, generations):
+        workload = build_track(n=64)
+        runner = LoopRunner(workload.program(), workload.inputs)
+        report = runner.run(
+            Strategy.STRIPPED, RunConfig(model=fx80(), engine="compiled", strip_size=4)
+        )
+        assert report.stats["strips"] == 16
+        assert len(generations) == 1
+
+    def test_thread_backend_shards_share_one_generated_loop(self, generations):
+        workload = build_track(n=64)
+        runner = LoopRunner(workload.program(), workload.inputs)
+        config = RunConfig(
+            model=fx80().with_procs(4), engine="parallel", workers=2, backend="threads"
+        )
+        for _ in range(2):
+            assert runner.run(Strategy.SPECULATIVE, config).passed
+        assert len(generations) == 1
