@@ -24,7 +24,11 @@ shares.  And the runtime's serial executions run compiled: inside
 drive the tree walker (``.exec_iteration(`` / ``.exec_block(``).
 Python source becomes code in one place: ``compile(`` and ``exec(``
 appear only in the serial code generator (:mod:`repro.interp.compiled`)
-and in the CLI's loader for Python kernel files.
+and in the CLI's loader for Python kernel files.  And the loop profile
+store stays in the orchestrator: under ``repro/runtime``, ``profiles``
+and ``LoopProfileStore`` appear only in :mod:`repro.runtime.orchestrator`
+and the :mod:`repro.runtime.profile` package, so no driver, doall or
+engine consults a loop's history.
 
 ::
 
@@ -151,6 +155,20 @@ CODEGEN_ALLOWED = (
     pathlib.PurePosixPath("repro/cli.py"),
 )
 
+#: the loop profile store named anywhere in the runtime.  Only
+#: :class:`~repro.runtime.orchestrator.LoopRunner` turns a loop's
+#: history into decisions (verdict cache, failure veto, recovery
+#: arming, warm strip size); drivers, doalls and engines take the
+#: decisions as arguments and never see the store.
+PROFILE_PATTERNS = (
+    re.compile(r"\b(?:profiles|LoopProfileStore)\b"),
+)
+PROFILE_CHECKED = pathlib.PurePosixPath("repro/runtime")
+PROFILE_ALLOWED = (
+    pathlib.PurePosixPath("repro/runtime/orchestrator.py"),
+    pathlib.PurePosixPath("repro/runtime/profile"),
+)
+
 #: the one place engine names may be compared/declared.
 ALLOWED = pathlib.PurePosixPath("repro/runtime/engines")
 
@@ -195,6 +213,10 @@ def lint(root: pathlib.Path) -> list[str]:
             and relative not in WALKER_ALLOWED
         )
         check_codegen = relative not in CODEGEN_ALLOWED
+        check_profile = PROFILE_CHECKED in relative.parents and not any(
+            relative == allowed or allowed in relative.parents
+            for allowed in PROFILE_ALLOWED
+        )
         for lineno, line in enumerate(
             path.read_text().splitlines(), start=1
         ):
@@ -225,10 +247,13 @@ def lint(root: pathlib.Path) -> list[str]:
             codegen_hit = check_codegen and any(
                 pattern.search(line) for pattern in CODEGEN_PATTERNS
             )
+            profile_hit = check_profile and any(
+                pattern.search(line) for pattern in PROFILE_PATTERNS
+            )
             if (
                 engine_hit or recovery_hit or backend_hit or cache_hit
                 or service_hit or frontend_hit or driver_hit or walker_hit
-                or codegen_hit
+                or codegen_hit or profile_hit
             ):
                 hits.append(f"{path}:{lineno}: {line.strip()}")
     return hits
@@ -273,7 +298,9 @@ def main(argv: list[str] | None = None) -> int:
             f"marking inspector may call .exec_iteration( or "
             f".exec_block( (serial executions run compiled), and "
             f"compile( / exec( belong to the serial code generator "
-            f"(repro/interp/compiled.py) and the CLI's kernel loader:",
+            f"(repro/interp/compiled.py) and the CLI's kernel loader, "
+            f"and inside repro/runtime only orchestrator.py and the "
+            f"profile package may name profiles or LoopProfileStore:",
             file=sys.stderr,
         )
         for hit in hits:

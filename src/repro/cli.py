@@ -109,12 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
         "parallel = real worker processes with shared-memory shadows, "
         "vectorized = whole-block NumPy lowering with bulk marking; "
         "classifier-rejected loops fall back to compiled; auto = "
-        "per-loop adaptive selection)",
+        "per-loop static pick among parallel, vectorized and compiled)",
     )
     run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the worker-sharding engines "
-        "(default for parallel: one per usable core)",
+        help="worker processes for the parallel engine, the only one "
+        "that shards (default: one per usable core); with --engine auto, "
+        "setting N makes auto pick parallel; other engines run "
+        "in-process",
     )
     from repro.runtime.parallel_backend import BACKENDS, DEFAULT_BACKEND
 
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(BACKENDS),
         default=DEFAULT_BACKEND,
-        help="worker-pool flavour for the worker-sharding engines "
+        help="worker-pool flavour for sharded (parallel) runs "
         "(fork = processes over shared-memory shadows, threads = "
         "in-process workers with no fork or shared-memory setup)",
     )
@@ -144,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--profile-path", default=None, metavar="FILE",
         help="persist the loop-profile store (cached LRPD verdicts, "
-        "per-engine run observations) as JSON at FILE: loaded before "
+        "per-run observations) as JSON at FILE: loaded before "
         "the run, saved atomically after; enables schedule reuse so a "
         "second invocation gets a verdict-cache hit",
     )

@@ -23,7 +23,7 @@ the parent needs to reconstruct a bit-identical
 Iterations run the loop's generated marked iteration
 (:meth:`~repro.interp.compiled.CompiledProgram.marked_loop` on the
 spec's compiled program: generated once per spec and worker process,
-bound per task), unless a whole-block lowering takes the task.
+bound per task) — the one body executor a shard has.
 
 Everything here is deliberately single-process and deterministic — the
 module has no multiprocessing dependency, which is what lets the parity
@@ -42,10 +42,8 @@ from repro.core.reduction_exec import REDUCTION_IDENTITY, ReductionPartials
 from repro.core.shadow import Granularity, ShadowMarker
 from repro.dsl.ast_nodes import Do, Program
 from repro.errors import SpeculationFailed
-from repro.analysis.vectorize import classify_loop
 from repro.interp.compiled import CompiledProgram, compile_program
 from repro.interp.costs import IterationCost
-from repro.interp.vectorized_spec import VectorizeBail, execute_vectorized_block
 from repro.interp.env import Environment
 
 
@@ -54,14 +52,13 @@ class ShardSpec:
     """Static per-loop configuration, fixed for a worker pool's lifetime.
 
     Everything that does not change between doalls of the same target
-    loop: the program (and its compilation, which keeps the loop's
-    generated iteration for every task), the transform plan's array
+    loop: the program's compilation (which keeps the loop's generated
+    iteration for every task), the transform plan's array
     classification and the virtual-processor count.  Shipped to workers
     once (inherited through ``fork``), while the per-doall state travels
     in :class:`ShardTask`.
     """
 
-    program: Program
     loop: Do
     tested_arrays: frozenset[str]
     reduction_arrays: frozenset[str]
@@ -84,7 +81,6 @@ class ShardSpec:
             - set(plan.reduction_arrays)
         ))
         return cls(
-            program=program,
             loop=loop,
             tested_arrays=plan.tested_arrays,
             reduction_arrays=plan.reduction_arrays,
@@ -117,10 +113,6 @@ class ShardTask:
     value_based: bool = True
     granularity: Granularity = Granularity.ITERATION
     eager: bool = False
-    #: run the owned lanes through the vectorized whole-block lowering
-    #: (falls back to compiled per-iteration on a bail) instead of the
-    #: per-iteration compiled executor.
-    whole_block: bool = False
 
 
 @dataclass
@@ -143,8 +135,6 @@ class ShardResult:
     tw: dict[str, int] = field(default_factory=dict)
     executed: int = 0
     aborted: bool = False
-    #: why a requested vectorized execution degraded to compiled (if it did).
-    fallback: str | None = None
 
 
 def execute_shard(
@@ -177,65 +167,6 @@ def execute_shard(
         proc_envs[proc] = proc_env
 
     tested = spec.tested_arrays if (marker is not None and task.marking) else frozenset()
-
-    fallback: str | None = None
-    if task.whole_block:
-        positions = [p for proc in task.procs for p in task.assignment[proc]]
-        decision = classify_loop(spec.program, spec.loop, spec)
-        if decision:
-            try:
-                pairs = execute_vectorized_block(
-                    spec.program, spec.loop,
-                    values=task.values, positions=positions,
-                    assignment=task.assignment, num_procs=spec.num_procs,
-                    tested=tested, redux_refs=spec.redux_refs,
-                    scalar_reductions=spec.scalar_reductions,
-                    live_out_scalars=spec.live_out_scalars,
-                    value_based=task.value_based,
-                    marker=marker if task.marking else None,
-                    privates=privates, partials=partials,
-                    proc_envs=proc_envs, shared_env=env,
-                )
-            except VectorizeBail as bail:
-                fallback = bail.reason
-            else:
-                return ShardResult(
-                    proc_scalars={
-                        proc: dict(pe.scalars) for proc, pe in proc_envs.items()
-                    },
-                    private_rows={
-                        name: {
-                            proc: (copies.data[proc].copy(),
-                                   copies.wstamp[proc].copy())
-                            for proc in task.procs
-                        }
-                        for name, copies in privates.items()
-                    },
-                    partial_maps={
-                        name: {proc: dict(p.proc_maps()[proc])
-                               for proc in task.procs}
-                        for name, p in partials.items()
-                    },
-                    iteration_costs=[
-                        (pos, (c.flops, c.mem_reads, c.mem_writes,
-                               c.scalar_ops, c.intrinsics, c.branches,
-                               c.marks))
-                        for pos, c in pairs
-                    ],
-                    shared_writes={},  # the classifier rejects shared stores
-                    tw={
-                        name: shadow.tw
-                        for name, shadow in (
-                            marker.shadows if marker else {}
-                        ).items()
-                    },
-                    executed=len(positions),
-                    aborted=False,
-                )
-        else:
-            fallback = decision.reason
-        # The block attempt committed nothing: run the owned processors
-        # per-iteration on the compiled engine over the same structures.
 
     iteration = spec.compiled.marked_loop(
         spec.loop, tested=tested, value_based=task.value_based,
@@ -308,5 +239,4 @@ def execute_shard(
         tw={name: shadow.tw for name, shadow in (marker.shadows if marker else {}).items()},
         executed=executed,
         aborted=aborted,
-        fallback=fallback,
     )

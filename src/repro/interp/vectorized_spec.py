@@ -181,7 +181,6 @@ def execute_vectorized_block(
     loop: Do,
     *,
     values: Sequence[int],
-    positions: Sequence[int],
     assignment: Sequence[Sequence[int]],
     num_procs: int,
     tested: Iterable[str],
@@ -196,20 +195,20 @@ def execute_vectorized_block(
     shared_env: Environment,
     need_costs: bool = True,
 ) -> list[tuple[int, IterationCost]]:
-    """Execute ``positions`` (a subset of the doall's iteration space, or
-    all of it) in lockstep and commit the results.
+    """Execute the doall's whole iteration space in lockstep and commit
+    the results.
 
     Returns ``(position, IterationCost)`` pairs in execution order —
     empty with ``need_costs=False`` (schedule reuse with memoized
     times), which skips the per-iteration cost materialization.
     Raises :class:`VectorizeBail` — with *nothing* committed — when the
     lockstep lowering cannot guarantee bit-identity; the caller must
-    then rerun the same positions on the compiled engine.
+    then rerun the doall on the compiled engine.
     """
     executor = _BlockExecutor(
         program, loop,
-        values=values, positions=positions, assignment=assignment,
-        num_procs=num_procs, tested=tested, redux_refs=redux_refs,
+        values=values, assignment=assignment, num_procs=num_procs,
+        tested=tested, redux_refs=redux_refs,
         scalar_reductions=scalar_reductions,
         live_out_scalars=live_out_scalars, value_based=value_based,
         marker=marker, privates=privates, partials=partials,
@@ -220,7 +219,7 @@ def execute_vectorized_block(
 
 class _BlockExecutor:
     def __init__(
-        self, program, loop, *, values, positions, assignment, num_procs,
+        self, program, loop, *, values, assignment, num_procs,
         tested, redux_refs, scalar_reductions, live_out_scalars,
         value_based, marker, privates, partials, proc_envs, shared_env,
         need_costs=True,
@@ -229,7 +228,7 @@ class _BlockExecutor:
         self.program = program
         self.loop = loop
         self.values = values
-        self.positions = np.asarray(list(positions), dtype=_I64)
+        self.positions = np.arange(len(values), dtype=_I64)
         self.num_procs = num_procs
         self.tested = frozenset(tested)
         self.redux_refs = dict(redux_refs)
@@ -263,8 +262,8 @@ class _BlockExecutor:
             for k, pos in enumerate(plist):
                 proc_of[pos] = proc
                 k_of[pos] = k
-        self.proc_of = proc_of[self.positions]
-        self.k_of = k_of[self.positions]
+        self.proc_of = proc_of
+        self.k_of = k_of
         #: deterministic round-robin execution order of the lanes.
         self.row_rank = self.k_of * num_procs + self.proc_of
         if marker is not None:
@@ -1007,9 +1006,7 @@ class _BlockExecutor:
         var_kind = self.kinds.get(self.loop.var)
         if var_kind is None:
             self._bail(f"undeclared loop variable {self.loop.var!r}")
-        vals = np.asarray(
-            [self.values[int(p)] for p in self.positions], dtype=_I64
-        )
+        vals = np.asarray(self.values, dtype=_I64)
         # run_iteration's uncharged loop-variable set.
         self._set_scalar(
             self.loop.var, _Val(vals, "integer"),

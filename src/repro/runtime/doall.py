@@ -93,8 +93,6 @@ def run_doall(
     workers: int | None = None,
     pool=None,
     backend: str = "fork",
-    profiles=None,
-    loop_key: str | None = None,
     need_costs: bool = True,
     compiled: CompiledProgram | None = None,
 ) -> DoallRun:
@@ -118,7 +116,8 @@ def run_doall(
     (the per-loop planner, decision recorded on the run).  All produce
     bit-identical state, costs and shadow marks on completed runs.
 
-    ``workers``/``pool`` apply to worker-sharding engines only: a real
+    ``workers``/``pool`` apply to the sharding engine (``"parallel"``,
+    or ``"auto"``, which picks it when ``workers`` is set) only: a real
     process count (default: one per usable core) or a persistent
     :class:`~repro.runtime.parallel_backend.WorkerPool` to reuse across
     strips.  ``backend`` picks the pool flavour for owned pools:
@@ -132,10 +131,6 @@ def run_doall(
     returned assignment are positions *within* ``values``; strips
     preserve serial order because each strip's positions follow its
     serial iteration order and strips commit in order.
-
-    ``profiles``/``loop_key`` hand planner engines the caller's
-    :class:`~repro.runtime.profile.LoopProfileStore` and the loop
-    identity it is keyed by; executing engines ignore both.
 
     ``need_costs=False`` tells engines the caller will not read
     ``iteration_costs`` (schedule reuse with memoized times); engines
@@ -167,8 +162,6 @@ def run_doall(
         workers=workers,
         pool=pool,
         backend=backend,
-        profiles=profiles,
-        loop_key=loop_key,
         need_costs=need_costs,
         compiled=compiled,
     )

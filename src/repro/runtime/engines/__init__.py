@@ -22,8 +22,6 @@ from repro.runtime.engines.base import (
     UnknownEngineError,
 )
 from repro.runtime.engines.planner import (
-    EPSILON_PERIOD,
-    MIN_OBSERVATIONS,
     MIN_VECTOR_TRIP,
     EnginePlan,
     EnginePlanner,
@@ -134,8 +132,6 @@ __all__ = [
     "EnginePlanner",
     "EngineRegistry",
     "ExecutionEngine",
-    "EPSILON_PERIOD",
-    "MIN_OBSERVATIONS",
     "MIN_VECTOR_TRIP",
     "UnknownEngineError",
     "all_engines",

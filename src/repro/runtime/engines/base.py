@@ -61,13 +61,10 @@ class EngineCaps:
 
     #: has a serial (non-doall) executor — :meth:`ExecutionEngine.execute_serial`.
     supports_serial: bool = False
-    #: can shard the doall across real worker processes (``workers=``/``pool=``).
-    supports_workers: bool = False
-    #: always runs on the multiprocess backend, even without an explicit
-    #: worker count (the "parallel" engine).
+    #: shards the doall across real workers (``workers=``/``pool=``),
+    #: one per usable core without an explicit worker count (the
+    #: "parallel" engine, the only one that shards).
     requires_workers: bool = False
-    #: consults the static vectorizability classifier before executing.
-    needs_classifier: bool = False
     #: executes the loop body as one whole-block lowering rather than
     #: per-iteration dispatch.
     whole_block: bool = False
@@ -106,12 +103,6 @@ class DoallContext:
     #: worker-pool flavour for sharded execution ("fork" or "threads");
     #: validated by :func:`repro.runtime.parallel_backend.validate_backend`.
     backend: str = "fork"
-    #: the caller's :class:`~repro.runtime.profile.LoopProfileStore`
-    #: (None when no history is available) — planner engines consult its
-    #: per-engine observations; executing engines ignore it.
-    profiles: object = None
-    #: the loop identity the profiles are keyed by.
-    loop_key: Optional[str] = None
     #: False when the caller will not read ``iteration_costs`` off the
     #: run (schedule reuse with memoized times): engines whose cost
     #: accounting is separable from execution may skip it and return an

@@ -16,11 +16,7 @@ from repro.runtime.engines.registry import registry
 
 class ParallelEngine(ExecutionEngine):
     name = "parallel"
-    caps = EngineCaps(
-        supports_workers=True,
-        requires_workers=True,
-        fallback="compiled",
-    )
+    caps = EngineCaps(requires_workers=True, fallback="compiled")
     summary = (
         "`multiprocessing` workers (`--workers N`), each marking its own "
         "shadow set in shared memory, OR/sum-merged before analysis"
@@ -35,15 +31,13 @@ class ParallelEngine(ExecutionEngine):
         # module this package plugs into.
         from repro.runtime.parallel_backend import run_parallel_doall
 
-        run = run_parallel_doall(
+        return run_parallel_doall(
             ctx.program, ctx.loop, ctx.env, ctx.plan, ctx.num_procs,
             marker=ctx.marker, value_based=ctx.value_based,
             schedule=ctx.schedule, values=ctx.values,
             workers=ctx.workers, pool=ctx.pool,
-            whole_block=False, backend=ctx.backend, compiled=ctx.compiled,
+            backend=ctx.backend, compiled=ctx.compiled,
         )
-        run.engine_used = self.name
-        return run
 
 
 registry.register(ParallelEngine())

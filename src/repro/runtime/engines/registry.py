@@ -106,14 +106,10 @@ class EngineRegistry:
     def needs_worker_pool(self, name: str, workers: Optional[int]) -> bool:
         """Whether a run of ``name`` with ``workers`` shards onto real
         worker processes (the strip pipeline pre-forks one pool if so)."""
-        engine = self.get(name)
-        if engine.caps.planner:
-            # The planner only picks a sharding engine when workers were
-            # explicitly requested (see EnginePlanner).
-            return workers is not None
-        return engine.caps.requires_workers or (
-            engine.caps.supports_workers and workers is not None
-        )
+        caps = self.get(name).caps
+        # The planner picks the sharding engine exactly when workers
+        # were requested (see EnginePlanner).
+        return caps.requires_workers or (caps.planner and workers is not None)
 
 
 #: the process-wide registry; populated by the engine modules' imports

@@ -5,9 +5,9 @@ one lane per iteration — with bulk shadow marking
 (:mod:`repro.interp.vectorized_spec`).  Rejected loops and runtime
 bails raise :class:`EngineFallback` strictly pre-commit; the dispatcher
 walks the declared fallback chain (``vectorized -> compiled``) and the
-loop reruns per-iteration over fresh, untouched structures.  With an
-explicit worker count or pool the block is sharded lane-wise onto the
-multiprocess backend instead.
+loop reruns per-iteration over fresh, untouched structures.  The block
+always runs in-process: a worker count does not shard it (only the
+``parallel`` engine shards), as with ``compiled`` and ``walk``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from repro.runtime.engines.registry import registry
 
 class VectorizedEngine(ExecutionEngine):
     name = "vectorized"
-    caps = EngineCaps(
-        supports_workers=True,
-        needs_classifier=True,
-        whole_block=True,
-        fallback="compiled",
-    )
+    caps = EngineCaps(whole_block=True, fallback="compiled")
     summary = (
         "whole loop body lowered to NumPy index-vector kernels (one lane "
         "per iteration) with bulk shadow marking; a static classifier "
@@ -43,20 +38,6 @@ class VectorizedEngine(ExecutionEngine):
     guarantee = "bit-identical to `compiled`, ≥1.5x faster on eligible loops"
 
     def execute_doall(self, ctx: DoallContext) -> DoallRun:
-        if ctx.workers is not None or ctx.pool is not None:
-            # Shard the lanes across real worker processes; in-shard
-            # bails degrade to compiled inside the workers and come back
-            # on the merged run's fallback fields.
-            from repro.runtime.parallel_backend import run_parallel_doall
-
-            return run_parallel_doall(
-                ctx.program, ctx.loop, ctx.env, ctx.plan, ctx.num_procs,
-                marker=ctx.marker, value_based=ctx.value_based,
-                schedule=ctx.schedule, values=ctx.values,
-                workers=ctx.workers, pool=ctx.pool,
-                whole_block=True, backend=ctx.backend, compiled=ctx.compiled,
-            )
-
         decision = classify_loop(ctx.program, ctx.loop, ctx.plan)
         if not decision:
             raise EngineFallback(decision.reason)
@@ -65,8 +46,7 @@ class VectorizedEngine(ExecutionEngine):
         try:
             pairs = execute_vectorized_block(
                 ctx.program, ctx.loop,
-                values=ctx.values, positions=range(len(ctx.values)),
-                assignment=state.assignment, num_procs=ctx.num_procs,
+                values=ctx.values, assignment=state.assignment, num_procs=ctx.num_procs,
                 tested=state.tested, redux_refs=ctx.plan.redux_refs,
                 scalar_reductions=ctx.plan.scalar_reductions,
                 live_out_scalars=ctx.plan.live_out_scalars,

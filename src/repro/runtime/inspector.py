@@ -198,8 +198,6 @@ def run_inspector_executor(
     workers: int | None = None,
     pool=None,
     backend: str = "fork",
-    profiles=None,
-    loop_key: str | None = None,
     compiled: CompiledProgram | None = None,
 ) -> InspectorOutcome:
     """Inspector → test → (parallel executor | serial loop).
@@ -238,8 +236,7 @@ def run_inspector_executor(
     run, finalize = run_with_verdict(
         program, loop, env, plan, sim, result.passed, times, wall,
         schedule=schedule, engine=engine, workers=workers, pool=pool,
-        backend=backend, profiles=profiles, loop_key=loop_key,
-        compiled=compiled,
+        backend=backend, compiled=compiled,
     )
     outcome = InspectorOutcome(result=result, times=times, stats=stats, wall=wall)
     if run is not None:

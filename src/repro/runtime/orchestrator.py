@@ -10,13 +10,15 @@ strip configuration picks its sizer.
 
 Everything the runner remembers across invocations lives in one
 :class:`~repro.runtime.profile.LoopProfileStore`: cached LRPD verdicts
-(schedule reuse, OCEAN-style loops) and per-run observations (the
-feedback the ``auto`` planner consumes).  Every ``run()`` leaves one
-observation behind.  :meth:`LoopRunner._run_speculative` is the one
-place that turns that history into a strategy: a cached verdict for the
-run's access pattern decides first; without a pattern signature, loops
-whose recorded history says speculation keeps failing are refused up
-front when a planner engine is in charge.
+(schedule reuse, OCEAN-style loops) and per-run observations.  Every
+``run()`` leaves one observation behind.  The store stays here: nothing
+below the runner (drivers, doalls, engines) sees it, and the ``auto``
+engine picks by a static rule.  :meth:`LoopRunner._run_speculative` is
+the one place that turns the history into a strategy: a cached verdict
+for the run's access pattern decides first; without a pattern
+signature, loops whose recorded history says speculation keeps failing
+are refused up front when a planner engine is in charge.  A reused
+verdict re-executes on the requested engine.
 """
 
 from __future__ import annotations
@@ -100,15 +102,17 @@ class RunConfig:
     #: NumPy lowering with bulk shadow marking,
     #: :mod:`repro.interp.vectorized_spec`; classifier-rejected loops
     #: walk the declared fallback chain to compiled with the reason
-    #: recorded on the report), or "auto" (per-loop adaptive selection,
-    #: decision recorded on the report).  Bit-identical results; "walk"
+    #: recorded on the report), or "auto" (a per-loop static pick among
+    #: those three, decision recorded on the report).  Bit-identical results; "walk"
     #: is kept for ablation and equivalence testing.  Validated at
     #: construction against the registry.
     engine: str = "compiled"
     #: real worker processes for ``engine="parallel"`` (None: one per
-    #: usable core).  Independent of the *simulated* processor count in
-    #: :attr:`model` — workers are an execution resource, processors are
-    #: what the cost model prices.
+    #: usable core), the only engine that shards; ``engine="auto"``
+    #: shards by picking it when this is set, and the other engines run
+    #: in-process whatever it says.  Independent of the *simulated*
+    #: processor count in :attr:`model` — workers are an execution
+    #: resource, processors are what the cost model prices.
     workers: int | None = None
     #: worker-pool flavour for sharded execution: "fork" (processes over
     #: shared-memory shadows) or "threads" (in-process workers, no fork
@@ -165,8 +169,8 @@ class LoopRunner:
             f"{program.name}:{self.loop.var}@{self.loop.line}#{digest[:16]}"
         )
         #: the runner's cross-invocation memory; pass a shared (possibly
-        #: persistent) store to carry verdicts and planner feedback
-        #: across runners and processes.
+        #: persistent) store to carry verdicts and run history across
+        #: runners and processes.
         self.profiles = profiles if profiles is not None else LoopProfileStore()
         #: optional caller-owned
         #: :class:`~repro.runtime.parallel_backend.WorkerPoolCache`:
@@ -504,8 +508,6 @@ class LoopRunner:
             workers=config.workers,
             pool=self._shared_pool(config, sim, env),
             backend=config.backend,
-            profiles=self.profiles,
-            loop_key=self._loop_key(),
             recovery=recovery,
             compiled=self._compiled,
         ).run()
@@ -563,21 +565,13 @@ class LoopRunner:
     ) -> ExecutionReport:
         """Schedule reuse: skip marking and analysis entirely.
 
-        The plain (uninstrumented) re-execution goes through the
-        whole-block vectorized chain rather than the requested engine —
-        every engine is state- and cost-identical, so the request only
-        governs the *speculative* attempt, and the reuse path is free to
-        take the fastest executor (classifier rejects fall back down the
-        registry chain as usual).  Worker-sharding requests with a live
-        pool keep their engine: the persistent pool IS their fast path.
-        Simulated times of repeat reuse runs come from
-        :attr:`_reuse_times` instead of being re-derived per run.
+        The plain (uninstrumented) re-execution runs on the requested
+        engine, as the speculative attempt does.  Simulated times of
+        repeat reuse runs come from :attr:`_reuse_times` instead of
+        being re-derived per run.
         """
         times = TimeBreakdown()
         wall = WallClock(signature=signature_s)
-        reuse_engine, reuse_workers = config.engine, config.workers
-        if pool is None and not get_engine(config.engine).caps.whole_block:
-            reuse_engine, reuse_workers = "vectorized", None
         memo_key = (
             signature, config.model.name, sim.num_procs,
             config.schedule, config.engine, config.workers, config.backend,
@@ -585,9 +579,8 @@ class LoopRunner:
         memo = self._reuse_times.get(memo_key) if cached.passed else None
         run, _finalize = run_with_verdict(
             self.program, self.loop, env, self.plan, sim, cached.passed,
-            times, wall, schedule=config.schedule, engine=reuse_engine,
-            workers=reuse_workers, pool=pool, backend=config.backend,
-            profiles=self.profiles, loop_key=self._loop_key(),
+            times, wall, schedule=config.schedule, engine=config.engine,
+            workers=config.workers, pool=pool, backend=config.backend,
             need_costs=memo is None,
             compiled=self._compiled_program(),
         )
@@ -601,13 +594,6 @@ class LoopRunner:
             fallback_reason = run.fallback_reason
             engine_used = run.engine_used
             engine_decision = run.engine_decision
-            if reuse_engine != config.engine and engine_decision is None:
-                engine_decision = (
-                    f"schedule reuse: plain re-execution via "
-                    f"{run.engine_used} (engines are state- and "
-                    f"cost-identical; {config.engine!r} governs the "
-                    f"speculative attempt only)"
-                )
         return ExecutionReport(
             strategy=Strategy.SPECULATIVE.value,
             machine=config.model.name,
@@ -642,8 +628,6 @@ class LoopRunner:
             workers=config.workers,
             pool=self._shared_pool(config, sim, env),
             backend=config.backend,
-            profiles=self.profiles,
-            loop_key=self._loop_key(),
             compiled=self._compiled_program(),
         )
         self._finish(env)

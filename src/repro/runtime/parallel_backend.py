@@ -517,7 +517,6 @@ def run_parallel_doall(
     values: list[int] | None = None,
     workers: int | None = None,
     pool: WorkerPool | ThreadWorkerPool | None = None,
-    whole_block: bool = False,
     backend: str = DEFAULT_BACKEND,
     compiled: CompiledProgram | None = None,
 ) -> DoallRun:
@@ -525,17 +524,11 @@ def run_parallel_doall(
 
     Drop-in replacement for the emulated executors behind
     :func:`repro.runtime.doall.run_doall` (reached via the ``parallel``
-    and worker-sharded ``vectorized`` engines): same contract, same
-    returned :class:`DoallRun`, with the shadow marks merged into
-    ``marker`` per the paper's cross-processor union.  ``marker`` must
-    be freshly reset (the speculative protocols guarantee this) — the
-    merge folds the workers' marks into it rather than marking
-    incrementally.
-
-    ``whole_block`` selects the in-worker body executor: the vectorized
-    whole-block lowering (in-shard bails degrade to compiled inside the
-    worker and surface on the merged run's fallback fields) instead of
-    the per-iteration compiled engine.
+    engine): same contract, same returned :class:`DoallRun`, with the
+    shadow marks merged into ``marker`` per the paper's cross-processor
+    union.  ``marker`` must be freshly reset (the speculative protocols
+    guarantee this) — the merge folds the workers' marks into it rather
+    than marking incrementally.
 
     ``pool`` reuses a persistent :class:`WorkerPool` /
     :class:`ThreadWorkerPool` (the strip pipeline passes one); otherwise
@@ -584,14 +577,12 @@ def run_parallel_doall(
                     else Granularity.ITERATION
                 ),
                 eager=eager,
-                whole_block=whole_block,
             )
             for chunk in pool.chunks
         ]
         results = pool.run(tasks)
         return _merge_results(
             pool, results, env, plan, num_procs, marker, values, assignment,
-            whole_block=whole_block,
         )
     finally:
         if owned_pool is not None:
@@ -607,7 +598,6 @@ def _merge_results(
     marker: ShadowMarker | None,
     values: list[int],
     assignment: list[list[int]],
-    whole_block: bool = False,
 ) -> DoallRun:
     """Fold the per-worker shard results into one :class:`DoallRun`.
 
@@ -678,13 +668,5 @@ def _merge_results(
         scalar_init=scalar_init,
         aborted=any(result.aborted for result in results),
         executed_iterations=sum(result.executed for result in results),
-        engine_used=(
-            "vectorized"
-            if whole_block
-            and not any(result.fallback for result in results)
-            else "compiled"
-        ),
-        fallback_reason=next(
-            (result.fallback for result in results if result.fallback), None
-        ),
+        engine_used="parallel",
     )

@@ -5,12 +5,16 @@ the scattered per-run telemetry with one store (paper §IV.D motivates
 the verdict-reuse half):
 
 * :class:`LoopProfileStore` — verdict cache (LRU, entry+byte bounded),
-  per-loop observation rings, optional JSON persistence.
+  per-loop observation rings, optional JSON persistence.  Only the
+  orchestrator's :class:`~repro.runtime.orchestrator.LoopRunner` holds
+  one; engines and drivers never see it.
 * :class:`RunObservation` — one run as the profile remembers it.
 * :func:`pattern_signature` — the access-pattern digest keying reuse.
 
 Construction of the internal :class:`ScheduleCache` outside this
-package is rejected by ``benchmarks/check_engine_dispatch.py``.
+package, and any mention of the store in ``repro/runtime`` outside this
+package and the orchestrator, is rejected by
+``benchmarks/check_engine_dispatch.py``.
 """
 
 from repro.runtime.profile.observation import RunObservation

@@ -4,9 +4,9 @@ Every strategy execution of a loop leaves one :class:`RunObservation`
 in the loop's profile: which engine actually ran, on which worker
 backend, the measured wall clock (total and the doall phase alone), the
 test verdict, any engine-fallback reason, and the strip size a
-strip-mined run converged on.  The feedback-driven planner consumes
-these (per-engine means, failure rates, warm strip sizes); persistence
-round-trips them so history survives across processes.
+strip-mined run converged on.  The runner consumes these (failure
+rates, recovered fractions, warm strip sizes); persistence round-trips
+every field so history survives across processes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class RunObservation:
     #: measured wall-clock seconds, whole strategy execution.
     wall_s: float
     #: measured wall-clock seconds of the doall phase alone — the
-    #: engine-dependent part the bandit compares across engines.
+    #: engine-dependent part of the run.
     doall_s: float
     #: the run-time test's verdict (None when no test ran).
     passed: bool | None

@@ -3,7 +3,9 @@
 Versioned schema, atomic writes (temp file + ``os.replace``), and
 defensive loading: a missing, truncated, corrupt or foreign file never
 raises — the store simply starts empty and records why on
-``store.load_error``.
+``store.load_error``.  Keys the loader does not read, such as a loop's
+retired ``decisions`` counter, are ignored, so older files of the same
+version still load.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ def store_to_json(store) -> dict:
     ]
     loops = {
         loop_key: {
-            "decisions": store._profiles[loop_key].decisions,
             "observations": [
                 obs.to_json() for obs in store.observations(loop_key)
             ],
@@ -131,6 +132,5 @@ def _restore(store, payload: dict) -> None:
             entry.hits = int(record.get("hits", 0))
     for loop_key, raw in dict(payload.get("loops", {})).items():
         profile = store._profile(str(loop_key))
-        profile.decisions = int(raw.get("decisions", 0))
         for obs in list(raw.get("observations", [])):
             profile.observations.append(RunObservation.from_json(obs))

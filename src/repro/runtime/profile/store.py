@@ -8,12 +8,15 @@ layers:
   count *and* estimated bytes, with hit/miss/eviction counters;
 * the **run ledger**: a bounded ring of :class:`RunObservation` records
   per loop — engine, backend, measured wall clock, verdict, fallback
-  reason, strip size — the substrate of the feedback-driven planner.
+  reason, strip size — from which the runner derives its failure veto,
+  DOACROSS recovery arming and rescue, and warm strip size.
 
 Everything the runtime learns about a loop flows through this one
-object; ``benchmarks/check_engine_dispatch.py`` lints that
-:class:`ScheduleCache` is never constructed outside this package, so no
-second copy of the state can quietly reappear at a call site.
+object, and only :class:`~repro.runtime.orchestrator.LoopRunner` reads
+it; ``benchmarks/check_engine_dispatch.py`` lints that
+:class:`ScheduleCache` is never constructed outside this package and
+that no other runtime module names the store, so no second copy of the
+state can quietly reappear at a call site.
 """
 
 from __future__ import annotations
@@ -146,9 +149,6 @@ class LoopProfile:
     observations: deque = field(
         default_factory=lambda: deque(maxlen=DEFAULT_RING)
     )
-    #: planner decisions taken for this loop (drives the deterministic
-    #: epsilon-greedy exploration schedule).
-    decisions: int = 0
     #: the failure-rate veto fired on the last :meth:`speculation_veto`
     #: query for this loop.
     vetoed: bool = False
@@ -158,7 +158,8 @@ class LoopProfile:
 
 
 class LoopProfileStore:
-    """The one store behind schedule reuse, run telemetry and planning.
+    """The one store behind schedule reuse, run telemetry and the
+    runner's history decisions.
 
     ``path`` enables JSON persistence: the constructor loads an existing
     profile file (tolerating missing/corrupt/foreign files — see
@@ -240,30 +241,7 @@ class LoopProfileStore:
     def loop_keys(self) -> list[str]:
         return sorted(self._profiles)
 
-    def next_decision(self, loop_key: str) -> int:
-        """Increment and return the loop's planner-decision counter."""
-        profile = self._profile(loop_key)
-        profile.decisions += 1
-        return profile.decisions
-
-    # -- derived queries the planner consumes ------------------------------
-
-    def engine_stats(self, loop_key: str) -> dict[str, tuple[int, float]]:
-        """Per-engine (count, mean doall seconds) over the ring.
-
-        Only observations that actually timed a doall count; reused-
-        schedule runs skip marking/analysis and would skew the mean.
-        """
-        sums: dict[str, tuple[int, float]] = {}
-        for obs in self.observations(loop_key):
-            if obs.engine is None or obs.reused or obs.doall_s <= 0.0:
-                continue
-            count, total = sums.get(obs.engine, (0, 0.0))
-            sums[obs.engine] = (count + 1, total + obs.doall_s)
-        return {
-            engine: (count, total / count)
-            for engine, (count, total) in sums.items()
-        }
+    # -- derived queries the runner consumes -------------------------------
 
     def warm_strip_size(self, loop_key: str) -> int | None:
         """The most recent passing strip-mined run's converged strip size."""

@@ -475,8 +475,6 @@ class SpeculationPipeline:
         workers: int | None = None,
         pool=None,
         backend: str = "fork",
-        profiles=None,
-        loop_key: str | None = None,
         recovery: bool = False,
         compiled: CompiledProgram | None = None,
     ):
@@ -505,8 +503,6 @@ class SpeculationPipeline:
         #: ephemeral pool is forked for this run and closed after it.
         self.pool = pool
         self.backend = backend
-        self.profiles = profiles
-        self.loop_key = loop_key
         self.recovery = recovery
         self._marker = marker
         self._compiled = compiled
@@ -671,8 +667,6 @@ class SpeculationPipeline:
                 workers=self.workers,
                 pool=pool,
                 backend=self.backend,
-                profiles=self.profiles,
-                loop_key=self.loop_key,
                 compiled=self._compiled_program(),
             )
             wall.doall += time.perf_counter() - tick

@@ -1,28 +1,27 @@
-"""Feedback-driven planning: ``engine="auto"`` consuming loop profiles.
+"""History-driven decisions under ``engine="auto"``.
 
-Cold runners must reproduce the static planner exactly; once a loop's
-profile holds enough timed observations the planner goes epsilon-greedy
-(deterministically — a per-loop decision counter, no randomness), picks
-are bit-identical to the same engine requested explicitly, loops with a
-recorded failure history are refused up front with the evidence on the
-report — unless the schedule cache holds the run's access pattern, whose
-own verdict decides first — and a persisted store warms a brand-new
-runner immediately.
+A loop's recorded profile never moves the engine pick: whatever the
+observations say, ``auto`` applies the planner's static rule.  What the
+history does decide lives in the runner: loops with a recorded failure
+history are refused up front with the evidence on the report — unless
+the schedule cache holds the run's access pattern, whose own verdict
+decides first — adaptive strip sizes warm-start from the last passing
+run, and a persisted store carries all of it to a brand-new runner.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.machine.costmodel import fx80
-from repro.runtime.engines import EPSILON_PERIOD, MIN_OBSERVATIONS
 from repro.runtime.orchestrator import LoopRunner, RunConfig, Strategy
 from repro.runtime.profile import LoopProfileStore, RunObservation
 from repro.runtime.speculative import AdaptiveStripSizer
 from repro.service.catalog import build_workload
 from repro.workloads.bdna import build_bdna
-from repro.workloads.mdg import build_mdg
 from repro.workloads.ocean import build_ocean
 
 PROCS = 4
@@ -73,15 +72,14 @@ class TestColdStart:
         assert "feedback" not in reason
 
     def test_one_observation_is_still_cold(self):
-        assert MIN_OBSERVATIONS == 2
         runner = _runner(lambda: build_bdna(n=60))
         _seed(runner, _obs("compiled", 0.001))
         report = runner.run(Strategy.SPECULATIVE, _config("auto"))
         assert "classifier accepted" in report.engine_decisions[0][1]
 
     def test_untimed_history_does_not_warm_the_planner(self):
-        """Reused-schedule and refused runs carry no doall timing; they
-        must not count toward the warm threshold."""
+        """Reused-schedule and refused runs in the history leave the
+        static pick alone."""
         runner = _runner(lambda: build_bdna(n=60))
         _seed(
             runner,
@@ -95,33 +93,24 @@ class TestColdStart:
 
 
 class TestWarmExploit:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            pytest.param(lambda: build_bdna(n=60), id="bdna"),
-            pytest.param(lambda: build_mdg(n=60), id="mdg"),
-            pytest.param(lambda: build_ocean(nk=150), id="ocean"),
-        ],
-    )
-    def test_picks_best_mean_bit_identically(self, build):
-        """History says compiled is fastest → the warm planner overrides
-        the static vectorized pick, and the run is bit-identical to an
-        explicitly requested compiled run."""
-        auto = _runner(build)
-        _seed(
-            auto,
-            _obs("compiled", 0.001), _obs("compiled", 0.003),
-            _obs("vectorized", 0.5), _obs("vectorized", 0.7),
-        )
-        got = auto.run(Strategy.SPECULATIVE, _config("auto"))
-        ref = _runner(build).run(Strategy.SPECULATIVE, _config("compiled"))
+    """A runner with recorded engine timings ("warm") still picks by the
+    static rule, and its runs stay bit-identical to the engine picked,
+    requested explicitly on a fresh runner."""
 
-        assert got.engine_used == "compiled"
-        (_key, reason), = got.engine_decisions
-        assert "feedback" in reason
-        assert "best mean doall wall clock" in reason
-        assert "2 runs" in reason and "4 timed runs total" in reason
-        _assert_reports_identical(ref, got)
+    def test_fastest_recorded_engine_does_not_move_the_pick(self):
+        """History that makes ``walk`` the fastest engine by far leaves
+        every pick, run after run, on the static rule."""
+        runner = _runner(lambda: build_bdna(n=60))
+        _seed(
+            runner,
+            *[_obs("walk", 0.0001) for _ in range(4)],
+            _obs("vectorized", 0.5), _obs("compiled", 0.4),
+        )
+        for _ in range(8):
+            report = runner.run(Strategy.SPECULATIVE, _config("auto"))
+            assert report.engine_used == "vectorized"
+            (_key, reason), = report.engine_decisions
+            assert reason.startswith("classifier accepted")
 
     def test_failing_loop_parity_when_warm(self):
         """A warm pick on a loop that then fails the LRPD test backs out
@@ -131,14 +120,14 @@ class TestWarmExploit:
         auto = _runner(build)
         _seed(auto, _obs("walk", 0.001), _obs("walk", 0.003))
         got = auto.run(Strategy.SPECULATIVE, _config("auto"))
-        ref = _runner(build).run(Strategy.SPECULATIVE, _config("walk"))
-        assert got.engine_used == "walk"
+        ref = _runner(build).run(Strategy.SPECULATIVE, _config("vectorized"))
+        assert got.engine_used == ref.engine_used
         assert got.passed is False
         _assert_reports_identical(ref, got)
 
     def test_worker_sharded_warm_pick(self):
-        """With workers requested only sharding-capable engines are
-        eligible, so a compiled history cannot elect compiled."""
+        """With workers requested the pick is ``parallel``, whatever the
+        history says about the in-process engines."""
         build = lambda: build_bdna(n=60)  # noqa: E731
         auto = _runner(build)
         _seed(
@@ -149,10 +138,10 @@ class TestWarmExploit:
         cfg = _config("auto", workers=2, backend="threads")
         got = auto.run(Strategy.SPECULATIVE, cfg)
         ref = _runner(build).run(
-            Strategy.SPECULATIVE, _config("vectorized", workers=2,
+            Strategy.SPECULATIVE, _config("parallel", workers=2,
                                           backend="threads")
         )
-        assert got.engine_used == "vectorized"
+        assert got.engine_used == "parallel"
         _assert_reports_identical(ref, got)
 
     def test_stripped_warm_parity(self):
@@ -160,8 +149,8 @@ class TestWarmExploit:
         auto = _runner(build)
         _seed(
             auto,
-            _obs("vectorized", 0.001), _obs("vectorized", 0.001),
-            _obs("compiled", 0.4),
+            _obs("compiled", 0.001), _obs("compiled", 0.001),
+            _obs("vectorized", 0.4),
         )
         got = auto.run(Strategy.STRIPPED, _config("auto", strip_size=16))
         ref = _runner(build).run(
@@ -169,27 +158,13 @@ class TestWarmExploit:
         )
         assert got.engine_used == "vectorized"
         assert all(
-            "feedback" in reason for _key, reason in got.engine_decisions
+            "classifier accepted" in reason
+            for _key, reason in got.engine_decisions
         )
         _assert_reports_identical(ref, got)
 
 
 class TestExploration:
-    def test_every_nth_decision_explores_least_observed(self):
-        runner = _runner(lambda: build_bdna(n=60))
-        key = runner._loop_key()
-        _seed(runner, _obs("compiled", 0.001), _obs("compiled", 0.001))
-        # Advance the deterministic schedule to the exploration slot.
-        for _ in range(EPSILON_PERIOD - 1):
-            runner.profiles.next_decision(key)
-        report = runner.run(Strategy.SPECULATIVE, _config("auto"))
-        (_key, reason), = report.engine_decisions
-        assert "exploring" in reason
-        assert f"decision #{EPSILON_PERIOD}" in reason
-        # Least-observed eligible engine, ties broken alphabetically:
-        # vectorized and walk are unseen, so vectorized is explored.
-        assert report.engine_used == "vectorized"
-
     def test_schedule_is_deterministic(self):
         """Two runners with identical seeded history make identical
         decision sequences — no randomness anywhere."""
@@ -355,25 +330,36 @@ class TestWarmStartStripSize:
 
 class TestPersistenceAcrossRunners:
     def test_saved_profile_warms_a_fresh_runner(self, tmp_path):
+        """A saved profile warm-starts a fresh runner's adaptive strip
+        size at the size the last passing strip-mined run converged on."""
         path = tmp_path / "profiles.json"
-        build = lambda: build_bdna(n=60)  # noqa: E731
+        build = lambda: build_bdna(n=200)  # noqa: E731
 
         trainer = _runner(build, profiles=LoopProfileStore(path=path))
-        trainer.run(Strategy.SPECULATIVE, _config("compiled"))
-        trainer.run(Strategy.SPECULATIVE, _config("compiled"))
+        trained = trainer.run(
+            Strategy.STRIPPED,
+            _config("compiled", strip_size=16, adaptive_strip_sizing=True),
+        )
+        assert trained.passed
+        converged = trained.strips[-1].strip_size
         trainer.profiles.save()
 
         fresh = _runner(build, profiles=LoopProfileStore(path=path))
         assert fresh.profiles.load_error is None
-        report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
-        assert report.engine_used == "compiled"
-        assert "feedback" in report.engine_decisions[0][1]
+        report = fresh.run(
+            Strategy.STRIPPED, _config("auto", adaptive_strip_sizing=True)
+        )
+        assert report.strips[0].strip_size == converged
+        assert any(
+            f"warm-starting the adaptive strip size at {converged}" in reason
+            for _key, reason in report.engine_decisions
+        )
 
     def test_retired_engine_history_loads_and_is_never_picked(self, tmp_path):
         """A profile file written when a since-retired engine ("jit")
-        was registered still loads cleanly, and the warm planner only
-        ever picks registered engines — even when the retired one holds
-        the best recorded mean."""
+        was registered still loads cleanly, and ``auto`` picks a
+        registered engine by its static rule — even when the retired one
+        holds the best recorded mean."""
         path = tmp_path / "profiles.json"
         build = lambda: build_bdna(n=60)  # noqa: E731
 
@@ -387,13 +373,39 @@ class TestPersistenceAcrossRunners:
 
         fresh = _runner(build, profiles=LoopProfileStore(path=path))
         assert fresh.profiles.load_error is None
-        # One full epsilon period covers the exploit and explore picks.
-        for _ in range(EPSILON_PERIOD):
-            report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
-            (_key, reason), = report.engine_decisions
-            assert "feedback" in reason
-            assert report.engine_used != "jit"
-            assert "jit" not in reason
+        report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
+        (_key, reason), = report.engine_decisions
+        assert report.engine_used == "vectorized"
+        assert "classifier accepted" in reason
+        assert "jit" not in reason
+
+    def test_file_with_planner_counters_loads_and_vetoes(self, tmp_path):
+        """A profile file that still carries a loop's ``decisions``
+        counter and timed ``doall_s`` observations loads cleanly, and
+        its recorded failures still veto speculation."""
+        build = lambda: build_ocean(nk=150, overlap=True)  # noqa: E731
+        key = _runner(build)._loop_key()
+        failed = {
+            "strategy": "speculative", "engine": "vectorized",
+            "backend": "fork", "wall_s": 0.02, "doall_s": 0.01,
+            "passed": False, "fallback_reason": None, "strip_size": None,
+            "reused": False, "recovered_fraction": None,
+            "sync_wait_cycles": 0.0,
+        }
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({
+            "format": "repro-loop-profiles",
+            "version": 1,
+            "verdicts": [],
+            "loops": {key: {"decisions": 9, "observations": [failed, failed]}},
+        }))
+
+        fresh = _runner(build, profiles=LoopProfileStore(path=path))
+        assert fresh.profiles.load_error is None
+        assert fresh.profiles.observations(key)[0].doall_s == 0.01
+        report = fresh.run(Strategy.SPECULATIVE, _config("auto"))
+        assert report.stats.get("refused") == 1.0
+        assert "failure rate 2/2" in report.engine_decisions[0][1]
 
     def test_saved_verdict_reused_by_fresh_runner(self, tmp_path):
         path = tmp_path / "profiles.json"

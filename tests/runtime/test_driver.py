@@ -375,6 +375,27 @@ class TestOneDriverLint:
             "runtime/orchestrator.py:1: interp.exec_block(self._before)",
         ]
 
+    def test_profile_store_below_the_runner_is_flagged(self, tmp_path):
+        (tmp_path / "runtime" / "engines").mkdir(parents=True)
+        (tmp_path / "runtime" / "profile").mkdir()
+        (tmp_path / "service").mkdir()
+        allowed = "self.profiles = LoopProfileStore()\n"
+        (tmp_path / "runtime" / "orchestrator.py").write_text(allowed)
+        (tmp_path / "runtime" / "profile" / "store.py").write_text(allowed)
+        (tmp_path / "service" / "server.py").write_text(allowed)
+        (tmp_path / "runtime" / "speculative.py").write_text(
+            "profile = self._profile(loop_key)\n"
+            "        profiles=None,\n"
+        )
+        (tmp_path / "runtime" / "engines" / "planner.py").write_text(
+            "store: LoopProfileStore = ctx.store\n"
+        )
+        hits = [hit.removeprefix(f"{tmp_path}/") for hit in self._lint()(tmp_path)]
+        assert hits == [
+            "runtime/engines/planner.py:1: store: LoopProfileStore = ctx.store",
+            "runtime/speculative.py:2: profiles=None,",
+        ]
+
     def test_compile_and_exec_outside_the_generator_are_flagged(self, tmp_path):
         (tmp_path / "interp").mkdir()
         (tmp_path / "runtime").mkdir()

@@ -89,7 +89,6 @@ class TestRegistry:
         assert get_engine("compiled").caps.supports_serial
         assert not get_engine("vectorized").caps.supports_serial
         assert get_engine("vectorized").caps.whole_block
-        assert get_engine("vectorized").caps.needs_classifier
         assert get_engine("parallel").caps.requires_workers
         assert get_engine("auto").caps.planner
 
@@ -122,9 +121,11 @@ class TestRegistry:
         assert name in reason and "compiled" in reason
 
     def test_needs_worker_pool(self):
+        """Only ``parallel`` shards, and ``auto`` exactly when it picks
+        ``parallel`` (workers requested)."""
         assert registry.needs_worker_pool("parallel", None)
         assert registry.needs_worker_pool("parallel", 2)
-        assert registry.needs_worker_pool("vectorized", 2)
+        assert not registry.needs_worker_pool("vectorized", 2)
         assert not registry.needs_worker_pool("vectorized", None)
         assert registry.needs_worker_pool("auto", 2)
         assert not registry.needs_worker_pool("auto", None)
@@ -267,9 +268,12 @@ class TestAutoEngine:
         _assert_outcomes_identical(ref, ref_env, auto, auto_env)
 
     def test_worker_sharded_parity(self):
-        ref, ref_env = _speculative(build_bdna(n=60), "vectorized", workers=2)
+        """With workers requested ``auto`` shards by picking
+        ``parallel``, even on a classifier-accepted loop."""
+        ref, ref_env = _speculative(build_bdna(n=60), "parallel", workers=2)
         auto, auto_env = _speculative(build_bdna(n=60), "auto", workers=2)
-        assert auto.run.engine_used == "vectorized"
+        assert auto.run.engine_used == "parallel"
+        assert auto.run.engine_decision == "2 workers requested (trip count 60)"
         _assert_outcomes_identical(ref, ref_env, auto, auto_env)
 
     def _report(self, build, engine, **config_kwargs):

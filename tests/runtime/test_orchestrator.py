@@ -74,6 +74,18 @@ class TestScheduleReuse:
         assert second.loop_time < first.loop_time
         assert second.times.analysis == 0.0
 
+    def test_reuse_runs_the_requested_engine(self):
+        """A reuse run without a worker pool re-executes on the engine it
+        was asked for: no fallback and no decision to report."""
+        runner = make_runner(PERMUTED, dict(PERMUTED_INPUTS))
+        cfg = config(use_schedule_cache=True, engine="compiled")
+        runner.run(Strategy.SPECULATIVE, cfg)
+        second = runner.run(Strategy.SPECULATIVE, cfg)
+        assert second.reused_schedule
+        assert second.engine_used == "compiled"
+        assert second.fallbacks == []
+        assert second.engine_decisions == []
+
     def test_reused_run_still_correct(self):
         runner = make_runner(PERMUTED, dict(PERMUTED_INPUTS))
         cfg = config(use_schedule_cache=True)

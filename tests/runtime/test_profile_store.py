@@ -2,10 +2,10 @@
 
 The verdict cache's LRU behaviour (entry and byte bounds, recency
 refresh, counters), the per-loop observation ring and the derived
-queries the feedback planner consumes (engine stats, warm strip size,
-failure-rate veto), and the JSON persistence layer — round-trips,
-atomicity, and the missing/truncated/corrupt/foreign-file tolerance the
-issue demands.
+queries the runner consumes (warm strip size, failure-rate veto,
+recovery history), and the JSON persistence layer — round-trips,
+atomicity, and tolerance of missing, truncated, corrupt and foreign
+files.
 """
 
 from __future__ import annotations
@@ -157,30 +157,8 @@ class TestObservationRing:
         store.observe("a", _obs("compiled", 1.0))
         assert store.loop_keys() == ["a", "b"]
 
-    def test_next_decision_increments_per_loop(self):
-        store = LoopProfileStore()
-        assert store.next_decision("loop") == 1
-        assert store.next_decision("loop") == 2
-        assert store.next_decision("other") == 1
-
 
 class TestDerivedQueries:
-    def test_engine_stats_means(self):
-        store = LoopProfileStore()
-        store.observe("loop", _obs("compiled", 0.2))
-        store.observe("loop", _obs("compiled", 0.4))
-        store.observe("loop", _obs("vectorized", 0.1))
-        stats = store.engine_stats("loop")
-        assert stats["compiled"] == (2, pytest.approx(0.3))
-        assert stats["vectorized"] == (1, pytest.approx(0.1))
-
-    def test_engine_stats_skip_untimed_runs(self):
-        store = LoopProfileStore()
-        store.observe("loop", _obs(None, 0.5))                 # no doall ran
-        store.observe("loop", _obs("compiled", 0.5, reused=True))
-        store.observe("loop", _obs("compiled", 0.0))           # untimed
-        assert store.engine_stats("loop") == {}
-
     def test_warm_strip_size_is_most_recent_passing(self):
         store = LoopProfileStore()
         store.observe("loop", _obs("compiled", 0.1, strip_size=16))
@@ -370,8 +348,6 @@ class TestPersistence:
         store.lookup_verdict("loopA", "sig1")
         store.observe("loopA", _obs("compiled", 0.25, strip_size=32))
         store.observe("loopB", _obs("vectorized", 0.5, passed=False))
-        store.next_decision("loopA")
-        store.next_decision("loopA")
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "profiles.json"
@@ -386,8 +362,9 @@ class TestPersistence:
         assert loaded.lookup_verdict("loopA", "sig1") == _result(arrays=["a"])
         assert loaded.observations("loopA") == store.observations("loopA")
         assert loaded.observations("loopB") == store.observations("loopB")
-        # The decision counter continues where the saved run left off.
-        assert loaded.next_decision("loopA") == 3
+        # A loop's profile is its observation ring, nothing else.
+        loops = json.loads(path.read_text())["loops"]
+        assert set(loops["loopA"]) == {"observations"}
 
     def test_round_trip_preserves_lru_order(self, tmp_path):
         path = tmp_path / "profiles.json"

@@ -110,6 +110,8 @@ def test_aborted_shard_merges_identically():
 
 
 def test_whole_block_shards_over_threads():
+    """The whole-block engine ignores the worker backend: it runs
+    in-process under either flavour, identically."""
     ref, env_r = spec_outcome(build_bdna(n=60), "vectorized", workers=2)
     threads, env_t = spec_outcome(
         build_bdna(n=60), "vectorized", workers=2, backend="threads"

@@ -108,8 +108,9 @@ class TestWholeBlockParity:
 
 
 class TestComposition:
-    """The vectorized engine composes with the strip pipeline and the
-    multiprocess backend without perturbing a single observable."""
+    """The vectorized engine composes with the strip pipeline, and runs
+    in-process whatever the worker count, without perturbing a single
+    observable."""
 
     def _reports(self, config_kwargs):
         reports = {}
@@ -134,7 +135,16 @@ class TestComposition:
                 ref.env.arrays[name], vec.env.arrays[name]
             )
 
-    def test_worker_backend(self):
+    def test_worker_backend(self, monkeypatch):
+        """A worker count does not shard the whole-block engine (only
+        ``parallel`` shards): no pool is built, and the block commits
+        in-process, bit-identical to compiled."""
+        from repro.runtime import parallel_backend
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("vectorized built a worker pool")
+
+        monkeypatch.setattr(parallel_backend, "make_worker_pool", no_pool)
         ref, ref_env = _speculative(build_bdna(n=60), "compiled")
         vec, vec_env = _speculative(build_bdna(n=60), "vectorized", workers=2)
         assert vec.run.engine_used == "vectorized"
